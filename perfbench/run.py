@@ -16,7 +16,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -24,11 +23,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("core-oppoints", "drill-artifacts", "rack-ingress", "slack-duty")
+WORKLOADS = ("core-oppoints", "rack-ingress", "slack-duty")
 PINNED_ENV = ("STRETCH_QUICK_FACTOR", "STRETCH_OPPOINT_CACHE")
-# setup_s is the median over this many cold processes (the measuring
-# process included), so one slow start cannot move it.
-SETUP_SAMPLES = 3
 RUN_TIMEOUT_S = 160
 
 END_TO_END = {
@@ -172,19 +168,11 @@ def warm_host(seconds=2.0):
 
 
 def measure(binary, workload, seed, seconds, trace, extra=()):
-    """One benchmark run: the setup samples and the measuring process.
-    Returns the measuring process's raw result with setup_s replaced by
-    the median over all setup samples."""
-    base = ["--workload", workload, "--seed", str(seed)]
+    """One benchmark run in a fresh perfbench process; its raw result."""
     warm_host()
-    setups = [run_binary(binary, base + ["--seconds", "1", "--setup-only"])
-              ["setup_s"] for _ in range(SETUP_SAMPLES - 1)]
-    raw = run_binary(binary, base + ["--seconds", str(seconds), "--trace",
-                                     str(int(trace))] + list(extra))
-    setups.append(raw["setup_s"])
-    raw["setup_samples"] = setups
-    raw["setup_s"] = statistics.median(setups)
-    return raw
+    return run_binary(binary, ["--workload", workload, "--seed", str(seed),
+                               "--seconds", str(seconds), "--trace",
+                               str(int(trace))] + list(extra))
 
 
 def evaluate(raw, expected_digest):

@@ -1,6 +1,6 @@
 /**
  * @file
- * Benchmark harness shared by the four workloads: host clock, the
+ * Benchmark harness shared by the workloads: host clock, the
  * in-memory span recorder of the traced run, per-op outcomes, the
  * output digest, and the per-layer metric sink.
  *

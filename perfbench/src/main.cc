@@ -6,9 +6,11 @@
  * workloads) and assembles the metrics the benchmark reports.
  *
  *   perfbench --workload NAME --seed N --seconds S --trace 0|1
- *             [--setup-only] [--break-invariant] [--min-ops N] [--out DIR]
+ *             [--break-invariant] [--min-ops N] [--out DIR]
  *
- * Phases: setup (input generation and cache warming; setup_s), the
+ * Phases: setup (input generation and cache warming), repeated three
+ * times with the operating-point cache emptied in between (setup_s is
+ * the median; the first repetition counts from process start), the
  * timed closed loop (whole passes over the op list, about S seconds),
  * then an untimed verification pass at the default seed whose digest
  * run.py compares with the recorded one. With --trace 1 the timed loop
@@ -72,7 +74,6 @@ struct Args
     std::uint64_t seed = kDefaultSeed;
     double seconds = 10.0;
     bool trace = false;
-    bool setupOnly = false;
     bool breakInvariant = false;
     /** Timed-phase floor: 100 ops leave at least 10 beyond p90. */
     std::size_t minOps = 100;
@@ -84,8 +85,8 @@ usage(const char *why)
 {
     std::fprintf(stderr,
                  "perfbench: %s\nusage: perfbench --workload NAME --seed N "
-                 "--seconds S --trace 0|1 [--setup-only] [--break-invariant] "
-                 "[--min-ops N] [--out DIR]\n",
+                 "--seconds S --trace 0|1 [--break-invariant] [--min-ops N] "
+                 "[--out DIR]\n",
                  why);
     std::exit(2);
 }
@@ -113,8 +114,6 @@ parseArgs(int argc, char **argv)
             a.out = value();
         else if (k == "--min-ops")
             a.minOps = std::strtoull(value().c_str(), nullptr, 10);
-        else if (k == "--setup-only")
-            a.setupOnly = true;
         else if (k == "--break-invariant")
             a.breakInvariant = true;
         else
@@ -291,22 +290,31 @@ main(int argc, char **argv)
     const unsigned workers =
         std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
     const std::string scratch = a.out + "/scratch-" + a.workload;
-    std::unique_ptr<Workload> w =
-        makeWorkload(a.workload, a.seed, workers, scratch);
-    if (!w)
-        usage(("unknown workload " + a.workload).c_str());
-    w->setup();
-    const double setupS = secondsSince(processStart);
+    // Set up three times and report the median: one setup of a fraction
+    // of a second is at the mercy of a single host hiccup. The last
+    // setup's workload is the one measured.
+    std::unique_ptr<Workload> w;
+    std::vector<double> setups;
+    auto setupStart = processStart;
+    for (int k = 0; k < 3; ++k) {
+        sim::OperatingPointCache::instance().clear();
+        w = makeWorkload(a.workload, a.seed, workers, scratch);
+        if (!w)
+            usage(("unknown workload " + a.workload).c_str());
+        w->setup();
+        setups.push_back(secondsSince(setupStart));
+        setupStart = Clock::now();
+    }
 
     obs::JsonWriter j;
     j.beginObject();
     printEnvelope(j, a);
-    j.field("setup_s", setupS);
-    if (a.setupOnly) {
-        j.endObject();
-        std::printf("%s\n", j.str().c_str());
-        return 0;
-    }
+    j.field("setup_s", percentile(setups, 50.0));
+    j.key("setup_samples");
+    j.beginArray();
+    for (double s : setups)
+        j.value(s);
+    j.endArray();
 
     const double untracedBudget = a.trace ? a.seconds / 3.0 : a.seconds;
     Phase timed = runPhase(*w, untracedBudget, a.trace ? 0 : a.minOps,

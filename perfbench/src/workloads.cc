@@ -1,6 +1,6 @@
 /**
  * @file
- * The four benchmark workloads. Each one is a fixed op list built from
+ * The benchmark workloads. Each one is a fixed op list built from
  * the seed, run by one closed-loop client; each op is one call into a
  * layer's public function. See perfbench/README.md for why each
  * workload exists and which layer it isolates.
@@ -207,7 +207,7 @@ class CoreOppoints : public Workload
                   passBp = 0, passRobStall = 0;
 };
 
-// ------------------------------------------------------ drill-artifacts
+// --------------------------------------------------------- rack-ingress
 
 /** Fleet-level control counts of one dispatch outcome. */
 struct ControlCounts
@@ -225,188 +225,21 @@ struct ControlCounts
 };
 
 /**
- * One `scenario::runDrill` of a catalog drill, writing its run report
- * and Chrome trace into a scratch directory that is emptied after each
- * op — what `incident_drill --report-dir` does per drill.
- *
- * Drills run serially (one pool worker). Parallel node runs are
- * rack-ingress's subject; here they would put the four rack drills,
- * the costliest ones and where p90 falls, at the mercy of the most
- * contended of four host CPUs.
- */
-class DrillArtifacts : public Workload
-{
-  public:
-    DrillArtifacts(std::uint64_t seed, std::string dir)
-        : seed(seed), dir(std::move(dir))
-    {
-    }
-
-    void
-    setup() override
-    {
-        fs::remove_all(dir);
-        fs::create_directories(dir);
-        // Running every drill bare once measures every operating point
-        // and calibration probe the timed drills read.
-        for (const scenario::Drill &d : scenario::drillCatalog())
-            scenario::runDrill(d, tweak(d, false));
-    }
-
-    std::size_t
-    passSize() const override
-    {
-        return scenario::drillCatalog().size();
-    }
-
-    void
-    runOp(std::size_t i) override
-    {
-        const scenario::Drill &d = scenario::drillCatalog()[i];
-        last = scenario::runDrill(d, tweak(d, true));
-    }
-
-    OpOutcome
-    checkOp(std::size_t i, bool breakInvariant) override
-    {
-        const scenario::Drill &d = scenario::drillCatalog()[i];
-        OpOutcome out;
-        std::uintmax_t report = fileBytes(artifact(d, ".report.json"));
-        std::uintmax_t trace = fileBytes(artifact(d, ".trace.json"));
-        if (breakInvariant)
-            report = 0;
-        if (report == 0 || trace == 0)
-            out.error = "drill artifact missing or empty";
-        if (seed == kDefaultSeed && !last.pass)
-            out.error = "drill verdict FAIL at the default seed";
-        // The scratch directory holds one op's artifacts at a time.
-        fs::remove_all(dir);
-        fs::create_directories(dir);
-
-        const sim::DispatchOutcome &r = last.result.dispatch;
-        Digest dg;
-        dg.u64(last.pass);
-        dg.u64(r.latencyMs.count);
-        dg.f64(r.latencyMs.mean);
-        dg.f64(r.latencyMs.p99);
-        dg.f64(r.latencyMs.max);
-        dg.u64(r.totalShed);
-        dg.u64(r.totalTransitions());
-        dg.u64(r.totalThrottleEngagements());
-        dg.u64(report);
-        dg.u64(trace);
-        out.digest = dg.value();
-        out.simWork = static_cast<double>(r.latencyMs.count + r.totalShed);
-        return out;
-    }
-
-    Attribution
-    runTracedOp(std::size_t i, std::uint64_t opId, SpanRecorder &rec) override
-    {
-        const scenario::Drill &d = scenario::drillCatalog()[i];
-        int root = rec.begin("op", opId);
-        double instrS = timed(rec, "scenario.runDrill[artifacts]", opId, root,
-                              [&] { runOp(i); });
-        // The artifacts stay on disk until the harness's checkOp.
-        bytes.push_back(static_cast<double>(
-            fileBytes(artifact(d, ".report.json")) +
-            fileBytes(artifact(d, ".trace.json"))));
-        requests.push_back(static_cast<double>(
-            last.result.dispatch.latencyMs.count +
-            last.result.dispatch.totalShed));
-        double bareS = timed(rec, "scenario.runDrill[bare]", opId, root, [&] {
-            scenario::runDrill(d, tweak(d, false));
-        });
-        scenario::Scenario s = scenario::preset(d.preset);
-        tweak(d, false)(s);
-        double lowerS = timed(rec, "scenario.lower", opId, root, [&] {
-            if (s.nodes > 1)
-                scenario::lowerRack(s);
-            else
-                scenario::lower(s);
-        });
-        rec.end(root);
-
-        obsSeconds.push_back(instrS - bareS);
-        bareSeconds.push_back(bareS);
-        lowerSeconds.push_back(lowerS);
-        if (tracedOps++ < passSize())
-            control.add(last.result.dispatch);
-        return {instrS,
-                {{"obs", instrS - bareS},
-                 {"fleet", bareS - lowerS},
-                 {"scenario", lowerS}}};
-    }
-
-    LayerMetrics
-    layerMetrics() const override
-    {
-        return {
-            {"scenario.lower_ms", 1e3 * median(lowerSeconds)},
-            {"obs.ms_per_op", 1e3 * median(obsSeconds)},
-            {"obs.artifact_mb_per_op",
-             sum(bytes) / 1e6 / static_cast<double>(bytes.size())},
-            {"obs.bytes_per_request", sum(bytes) / sum(requests)},
-            {"fleet.drill_bare_ms", 1e3 * median(bareSeconds)},
-            {"fleet.mode_transitions", control.transitions},
-            {"fleet.throttle_engagements", control.engagements},
-            {"fleet.shed_ratio", control.shed / control.offered},
-        };
-    }
-
-  private:
-    static std::uintmax_t
-    fileBytes(const std::string &path)
-    {
-        std::error_code ec;
-        std::uintmax_t n = fs::file_size(path, ec);
-        return ec ? 0 : n;
-    }
-
-    std::string
-    artifact(const scenario::Drill &d, const char *suffix) const
-    {
-        std::string stem = d.name;
-        std::replace(stem.begin(), stem.end(), '/', '-');
-        return dir + "/" + stem + suffix;
-    }
-
-    std::function<void(scenario::Scenario &)>
-    tweak(const scenario::Drill &d, bool artifacts) const
-    {
-        std::string report = artifacts ? artifact(d, ".report.json") : "";
-        std::string trace = artifacts ? artifact(d, ".trace.json") : "";
-        return [=](scenario::Scenario &s) {
-            s.seed = seed;
-            s.threads = 1;
-            s.reportPath = report;
-            s.tracePath = trace;
-        };
-    }
-
-    std::uint64_t seed;
-    std::string dir;
-    scenario::DrillOutcome last;
-
-    std::size_t tracedOps = 0;
-    std::vector<double> obsSeconds, bareSeconds, lowerSeconds, bytes, requests;
-    ControlCounts control;
-};
-
-// --------------------------------------------------------- rack-ingress
-
-/**
  * One `scenario::runRack` of `rack-web-search` widened to 8 nodes x 2
  * cores and 200k requests, rotating over the four ingress policies,
  * with one node failing at half horizon. A pass visits every (policy,
  * failed node) pair; each failed node gets its own arrival stream. No
  * artifacts.
+ *
+ * The traced run also measures the telemetry layer here, once per pass:
+ * the catalog drill `rack/quiet` (the same preset at its own size) run
+ * with its report and trace written, and run bare.
  */
 class RackIngress : public Workload
 {
   public:
-    RackIngress(std::uint64_t seed, unsigned workers)
-        : seed(seed), workers(workers)
+    RackIngress(std::uint64_t seed, unsigned workers, std::string dir)
+        : seed(seed), workers(workers), dir(std::move(dir))
     {
     }
 
@@ -442,6 +275,8 @@ class RackIngress : public Workload
         // One run measures every operating point: the nodes' cores are
         // the same whatever the stream, policy or failed node.
         scenario::runRack(ops.front());
+        fs::remove_all(dir);
+        fs::create_directories(dir);
     }
 
     std::size_t passSize() const override { return ops.size(); }
@@ -492,7 +327,9 @@ class RackIngress : public Workload
 
         // Replay each node's fleet over the stream the ingress steered
         // to it, configured exactly as runCluster configures node runs.
-        const cluster::ClusterConfig cfg = scenario::lowerRack(serialOp);
+        cluster::ClusterConfig cfg;
+        lowerSeconds.push_back(timed(rec, "scenario.lowerRack", opId, root,
+                                     [&] { cfg = scenario::lowerRack(serialOp); }));
         double replayS = 0.0;
         double replayed = 0.0;
         for (std::size_t j = 0; j < cfg.nodes.size(); ++j) {
@@ -516,6 +353,8 @@ class RackIngress : public Workload
                 a.totalShed != b.totalShed || a.elapsedMs != b.elapsedMs)
                 ++replayMismatches;
         }
+        if (i == 0)
+            traceDrill(opId, root, rec);
         rec.end(root);
 
         parallelSeconds.push_back(parallelS);
@@ -541,6 +380,44 @@ class RackIngress : public Workload
         return {serialS, {{"cluster", serialS - replayS}, {"fleet", replayS}}};
     }
 
+    /** The telemetry layer: `rack/quiet` with artifacts minus bare. */
+    void
+    traceDrill(std::uint64_t opId, int root, SpanRecorder &rec)
+    {
+        const scenario::Drill &d = scenario::drill("rack/quiet");
+        const std::string report = dir + "/drill.report.json";
+        const std::string trace = dir + "/drill.trace.json";
+        scenario::DrillOutcome out;
+        double instrS = timed(rec, "scenario.runDrill[artifacts]", opId, root,
+                              [&] {
+                                  out = scenario::runDrill(
+                                      d, [&](scenario::Scenario &s) {
+                                          s.seed = seed;
+                                          s.threads = workers;
+                                          s.reportPath = report;
+                                          s.tracePath = trace;
+                                      });
+                              });
+        double bareS = timed(rec, "scenario.runDrill[bare]", opId, root, [&] {
+            scenario::runDrill(d, [&](scenario::Scenario &s) {
+                s.seed = seed;
+                s.threads = workers;
+            });
+        });
+        auto fileBytes = [](const std::string &path) {
+            std::error_code ec;
+            const std::uintmax_t n = fs::file_size(path, ec);
+            return ec ? 0.0 : static_cast<double>(n);
+        };
+        artifactBytes.push_back(fileBytes(report) + fileBytes(trace));
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        obsSeconds.push_back(instrS - bareS);
+        drillBareSeconds.push_back(bareS);
+        drillRequests.push_back(static_cast<double>(
+            out.result.dispatch.latencyMs.count + out.result.dispatch.totalShed));
+    }
+
     LayerMetrics
     layerMetrics() const override
     {
@@ -561,19 +438,28 @@ class RackIngress : public Workload
             {"cluster.signal_refreshes", refreshes},
             {"cluster.node_imbalance",
              sum(imbalance) / static_cast<double>(imbalance.size())},
+            {"scenario.lower_ms", 1e3 * median(lowerSeconds)},
+            {"obs.ms_per_op", 1e3 * median(obsSeconds)},
+            {"obs.artifact_mb_per_op",
+             sum(artifactBytes) / 1e6 /
+                 static_cast<double>(artifactBytes.size())},
+            {"obs.bytes_per_request", sum(artifactBytes) / sum(drillRequests)},
+            {"fleet.drill_bare_ms", 1e3 * median(drillBareSeconds)},
         };
     }
 
   private:
     std::uint64_t seed;
     unsigned workers;
+    std::string dir;
     std::vector<scenario::Scenario> ops;
     cluster::ClusterResult last;
 
     std::size_t tracedOps = 0;
     std::uint64_t replayMismatches = 0;
     std::vector<double> parallelSeconds, serialSeconds, replaySeconds,
-        replayedRequests, imbalance;
+        replayedRequests, imbalance, lowerSeconds, obsSeconds,
+        drillBareSeconds, artifactBytes, drillRequests;
     double failovers = 0, spillovers = 0, refreshes = 0;
     ControlCounts control;
 };
@@ -709,10 +595,8 @@ makeWorkload(const std::string &name, std::uint64_t seed, unsigned workers,
 {
     if (name == "core-oppoints")
         return std::make_unique<CoreOppoints>(seed);
-    if (name == "drill-artifacts")
-        return std::make_unique<DrillArtifacts>(seed, scratchDir);
     if (name == "rack-ingress")
-        return std::make_unique<RackIngress>(seed, workers);
+        return std::make_unique<RackIngress>(seed, workers, scratchDir);
     if (name == "slack-duty")
         return std::make_unique<SlackDuty>(seed);
     return nullptr;
