@@ -7,8 +7,9 @@
 Each measurement runs in a fresh process of the perfbench binary, so
 caches and peak RSS never carry over between workloads. With --trace 0
 the result carries the end-to-end metrics; with --trace 1 the per-layer
-metrics of a separate traced run. The last line of stdout is one JSON
-object: {"correct", "attempted", "failed", "metrics"}. See README.md.
+metrics of a separate traced run. Metric names and units are the ones
+BENCHMARK.json lists. The last line of stdout is one JSON object:
+{"correct", "attempted", "failed", "metrics"}. See README.md.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -26,50 +28,15 @@ ROOT = HERE.parent
 WORKLOADS = ("core-oppoints", "rack-ingress", "slack-duty")
 PINNED_ENV = ("STRETCH_QUICK_FACTOR", "STRETCH_OPPOINT_CACHE")
 RUN_TIMEOUT_S = 160
-
-END_TO_END = {
-    "setup_s": "s",
-    "ops_per_s": "1/s",
-    "op_ms_p50": "ms",
-    "op_ms_p90": "ms",
-    "sim_work_per_s": "1/s",
-    "peak_rss_mb": "MB",
-}
-
-PER_LAYER = {
-    "core.ns_per_cycle": "ns",
-    "core.fixed_ms": "ms",
-    "core.window_ns_per_cycle": "ns",
-    "core.cycles": "count",
-    "core.uops": "count",
-    "cache.l1d_mpki": "1/kuop",
-    "cache.llc_mpki": "1/kuop",
-    "bp.mpki": "1/kuop",
-    "core.rob_stall_frac": "ratio",
-    "oppoint.misses": "count",
-    "oppoint.hit_ratio": "ratio",
-    "scenario.lower_ms": "ms",
-    "obs.ms_per_op": "ms",
-    "obs.artifact_mb_per_op": "MB",
-    "obs.bytes_per_request": "B",
-    "fleet.drill_bare_ms": "ms",
-    "fleet.ns_per_request": "ns",
-    "fleet.mode_transitions": "count",
-    "fleet.throttle_engagements": "count",
-    "fleet.shed_ratio": "ratio",
-    "fleet.replay_mismatches": "count",
-    "cluster.steer_ns_per_request": "ns",
-    "cluster.parallel_speedup": "ratio",
-    "cluster.failovers": "count",
-    "cluster.spillovers": "count",
-    "cluster.signal_refreshes": "count",
-    "cluster.node_imbalance": "ratio",
-    "queueing.modulated_ns_per_request": "ns",
-    "queueing.unmodulated_ns_per_request": "ns",
-    "queueing.peak_search_ms": "ms",
-    "trace.ops_per_s_delta": "1/s",
-    "trace.self_time_violations": "count",
-}
+# setup_s is the median of this many cold setups, each in a fresh
+# process: the setup-only processes, then the measuring one.
+SETUP_PROCESSES = 9
+# Workloads whose setup runs on one thread. On a shared virtual machine
+# one vCPU can run the same serial work at half the speed of another for
+# tens of seconds, and processes started back to back land on the same
+# vCPU; so these setups are spread round-robin over the CPUs. The
+# rack-ingress setup runs on every worker and spreads by itself.
+SERIAL_SETUP = ("core-oppoints", "slack-duty")
 
 
 def log(msg):
@@ -107,14 +74,16 @@ def build():
     return out / "perfbench"
 
 
-def run_binary(binary, args):
-    """Run perfbench once and return its JSON result line."""
+def run_binary(binary, args, cpu=None):
+    """Run perfbench once (on CPU @cpu alone when given) and return its
+    JSON result line."""
     outdir = build_dir().parent / "perfbench-out"
     outdir.mkdir(parents=True, exist_ok=True)
     cmd = [str(binary), "--out", str(outdir)] + args
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
     try:
         r = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                           timeout=RUN_TIMEOUT_S)
+                           timeout=RUN_TIMEOUT_S, preexec_fn=pin)
     except subprocess.TimeoutExpired:
         fail(f"timed out: {' '.join(cmd)}")
     lines = r.stdout.strip().splitlines()
@@ -149,6 +118,12 @@ def expected_digests():
     return json.loads((HERE / "digests.json").read_text())
 
 
+def metric_specs():
+    """(end-to-end, per-layer) lists of {"name", "unit", ...}."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return spec["end_to_end"], spec["per_layer"]
+
+
 def _spin(seconds):
     end = time.monotonic() + seconds
     while time.monotonic() < end:
@@ -168,11 +143,24 @@ def warm_host(seconds=2.0):
 
 
 def measure(binary, workload, seed, seconds, trace, extra=()):
-    """One benchmark run in a fresh perfbench process; its raw result."""
+    """One benchmark run in a fresh perfbench process; its raw result.
+    Untraced runs first time further cold setups in setup-only
+    processes, and setup_s becomes the median over all of them."""
     warm_host()
-    return run_binary(binary, ["--workload", workload, "--seed", str(seed),
-                               "--seconds", str(seconds), "--trace",
-                               str(int(trace))] + list(extra))
+    args = ["--workload", workload, "--seed", str(seed)]
+    cpus = sorted(os.sched_getaffinity(0))
+    setups = []
+    if not trace:
+        for k in range(SETUP_PROCESSES - 1):
+            cpu = cpus[k % len(cpus)] if workload in SERIAL_SETUP else None
+            setups.append(run_binary(binary, args + ["--setup-only"],
+                                     cpu)["setup_s"])
+    raw = run_binary(binary, args + ["--seconds", str(seconds), "--trace",
+                                     str(int(trace))] + list(extra))
+    setups.append(raw["setup_s"])
+    raw["setup_samples"] = setups
+    raw["setup_s"] = statistics.median(setups)
+    return raw
 
 
 def evaluate(raw, expected_digest):
@@ -184,12 +172,18 @@ def evaluate(raw, expected_digest):
     if raw["digest"] != expected_digest:
         failed = min(raw["attempted"], failed + raw["verify_ops"])
         errors.append(f"digest {raw['digest']} != recorded {expected_digest}")
+    end_to_end, per_layer = metric_specs()
     if "layers" in raw:
-        metrics = {k: {"value": raw["layers"][k], "unit": u}
-                   for k, u in PER_LAYER.items()}
+        # A layer the workload does not exercise reports 0.
+        unknown = set(raw["layers"]) - {m["name"] for m in per_layer}
+        if unknown:
+            fail(f"per-layer metrics missing from BENCHMARK.json: "
+                 f"{sorted(unknown)}")
+        metrics = {m["name"]: {"value": raw["layers"].get(m["name"], 0.0),
+                               "unit": m["unit"]} for m in per_layer}
     else:
-        metrics = {k: {"value": raw[k], "unit": u}
-                   for k, u in END_TO_END.items()}
+        metrics = {m["name"]: {"value": raw[m["name"]], "unit": m["unit"]}
+                   for m in end_to_end}
     result = {"correct": failed == 0, "attempted": raw["attempted"],
               "failed": failed, "metrics": metrics}
     return result, errors
@@ -208,6 +202,8 @@ def report(result, errors, raw):
     if "layers" in raw:
         for k, m in result["metrics"].items():
             print(f"  {k} = {m['value']:.6g} {m['unit']}")
+        print(f"  largest unaccounted share of a traced op: "
+              f"{raw['unaccounted_frac_max']:.4f}")
         print(f"  spans written to {raw['spans']}")
         return
     alias = ("sim_cycles_per_s" if raw["workload"] == "core-oppoints"
@@ -224,12 +220,15 @@ def report(result, errors, raw):
                 f"{s:.4f}" for s in raw["setup_samples"]) + ")"
         print(f"  {k} = {m['value']:.6g} {m['unit']}{note}")
     print(f"  timed phase {raw['timed_s']:.3f} s; op-point cache "
-          f"{raw['oppoint_hits']} hits / {raw['oppoint_misses']} misses")
+          f"{raw['oppoint_hits']} hits / {raw['oppoint_misses']} misses; "
+          f"peak RSS {raw['peak_rss_mb']:.1f} MB (per-layer metric)")
 
 
 def self_test(binary):
     """Show that the checks have teeth: a broken invariant and a perturbed
-    digest must both raise error_rate, while a clean run has none."""
+    digest must both raise error_rate, while a clean run has none; and
+    work done outside every child span of a traced op must count as a
+    self-time violation."""
     digests = expected_digests()
     ok = True
     for w in WORKLOADS:
@@ -251,6 +250,20 @@ def self_test(binary):
         for name, passed in checks.items():
             print(f"{w}: {'ok  ' if passed else 'FAIL'} {name}")
             ok = ok and passed
+    # The attribution check is the harness's, the same for every
+    # workload; the cheapest one shows it.
+    w = "slack-duty"
+    clean = measure(binary, w, 42, 1, True)["layers"]
+    broken = measure(binary, w, 42, 1, True, ["--break-attribution"])["layers"]
+    checks = {
+        "clean traced run has no self-time violations":
+            clean["trace.self_time_violations"] == 0,
+        "unaccounted work raises trace.self_time_violations":
+            broken["trace.self_time_violations"] >= 1,
+    }
+    for name, passed in checks.items():
+        print(f"{w}: {'ok  ' if passed else 'FAIL'} {name}")
+        ok = ok and passed
     return ok
 
 

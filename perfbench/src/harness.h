@@ -115,6 +115,21 @@ class SpanRecorder
         return s.endS - s.startS;
     }
 
+    /** Duration of closed span @p root minus the durations of its direct
+     *  children: the time no child call accounts for. */
+    double
+    unaccountedS(int root) const
+    {
+        const Span &r = spans[static_cast<std::size_t>(root)];
+        double s = r.endS - r.startS;
+        // Children open after their parent, so the scan starts there.
+        for (std::size_t i = static_cast<std::size_t>(root) + 1;
+             i < spans.size(); ++i)
+            if (spans[i].parent == root)
+                s -= spans[i].endS - spans[i].startS;
+        return s;
+    }
+
     /** Write every span as a JSON array of objects. */
     bool writeJson(const std::string &path) const;
 
@@ -123,19 +138,8 @@ class SpanRecorder
     std::vector<Span> spans;
 };
 
-/**
- * Layer attribution of one traced op: the span of the outermost public
- * call and the self time charged to each layer inside it. The harness
- * checks that the self times sum to the span and that none is
- * negative beyond timer noise.
- */
-struct Attribution
-{
-    double spanS = 0.0;
-    std::vector<std::pair<std::string, double>> selfS;
-};
-
-/** Per-layer metrics a workload reports after its traced passes. */
+/** Per-layer metrics a workload reports after its traced passes, by
+ *  the names BENCHMARK.json lists. */
 using LayerMetrics = std::map<std::string, double>;
 
 /**
@@ -163,9 +167,11 @@ class Workload
     virtual OpOutcome checkOp(std::size_t i, bool breakInvariant) = 0;
 
     /** Run op @p i traced: the op's own call plus the inner layers'
-     *  public calls on the same input, recorded as spans. */
-    virtual Attribution runTracedOp(std::size_t i, std::uint64_t opId,
-                                    SpanRecorder &rec) = 0;
+     *  public calls on the same input, each recorded as a child span of
+     *  @p root. The harness opens and closes @p root and checks that the
+     *  children account for its duration. */
+    virtual void runTracedOp(std::size_t i, std::uint64_t opId, int root,
+                             SpanRecorder &rec) = 0;
 
     /** Per-layer metrics over the traced ops run so far. */
     virtual LayerMetrics layerMetrics() const = 0;
@@ -176,10 +182,6 @@ class Workload
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        std::uint64_t seed, unsigned workers,
                                        const std::string &scratchDir);
-
-/** Every per-layer metric name, so each traced run reports all of them
- *  (0 for a layer the workload does not exercise). */
-const std::vector<std::string> &layerMetricNames();
 
 } // namespace perfbench
 

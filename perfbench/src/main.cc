@@ -6,18 +6,18 @@
  * workloads) and assembles the metrics the benchmark reports.
  *
  *   perfbench --workload NAME --seed N --seconds S --trace 0|1
- *             [--break-invariant] [--min-ops N] [--out DIR]
+ *             [--setup-only] [--break-invariant] [--break-attribution]
+ *             [--min-ops N] [--out DIR]
  *
- * Phases: setup (input generation and cache warming), repeated three
- * times with the operating-point cache emptied in between (setup_s is
- * the median; the first repetition counts from process start), the
- * timed closed loop (whole passes over the op list, about S seconds),
- * then an untimed verification pass at the default seed whose digest
- * run.py compares with the recorded one. With --trace 1 the timed loop
- * is split: a third untraced, two thirds traced with spans.
+ * Phases: setup (input generation and cache warming; setup_s counts
+ * from process start), the timed closed loop (whole passes over the op
+ * list, about S seconds), then an untimed verification pass at the
+ * default seed whose digest run.py compares with the recorded one. With
+ * --trace 1 the timed loop is split: a third untraced, two thirds
+ * traced with spans. --setup-only stops after setup, so that run.py can
+ * time further cold setups, each in a fresh process.
  */
 
-#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -74,7 +74,9 @@ struct Args
     std::uint64_t seed = kDefaultSeed;
     double seconds = 10.0;
     bool trace = false;
+    bool setupOnly = false;
     bool breakInvariant = false;
+    bool breakAttribution = false;
     /** Timed-phase floor: 100 ops leave at least 10 beyond p90. */
     std::size_t minOps = 100;
     std::string out = ".bench_build/perfbench-out";
@@ -85,8 +87,8 @@ usage(const char *why)
 {
     std::fprintf(stderr,
                  "perfbench: %s\nusage: perfbench --workload NAME --seed N "
-                 "--seconds S --trace 0|1 [--break-invariant] [--min-ops N] "
-                 "[--out DIR]\n",
+                 "--seconds S --trace 0|1 [--setup-only] [--break-invariant] "
+                 "[--break-attribution] [--min-ops N] [--out DIR]\n",
                  why);
     std::exit(2);
 }
@@ -114,8 +116,12 @@ parseArgs(int argc, char **argv)
             a.out = value();
         else if (k == "--min-ops")
             a.minOps = std::strtoull(value().c_str(), nullptr, 10);
+        else if (k == "--setup-only")
+            a.setupOnly = true;
         else if (k == "--break-invariant")
             a.breakInvariant = true;
+        else if (k == "--break-attribution")
+            a.breakAttribution = true;
         else
             usage(("unknown flag " + k).c_str());
     }
@@ -162,6 +168,7 @@ struct Phase
     std::uint64_t oppointHits = 0;
     std::uint64_t firstPassDigest = 0;
     std::uint64_t selfTimeViolations = 0;
+    double maxUnaccountedFrac = 0.0;
     std::vector<std::string> errors;
 
     double opsPerS() const { return static_cast<double>(opMs.size()) / wallS; }
@@ -176,13 +183,30 @@ struct Phase
 };
 
 /**
+ * What a traced op's root span may hold beyond its child calls: the
+ * harness's glue between them (config copies, output comparisons,
+ * artifact clean-up), at most 0.5 ms plus 1 % of the op.
+ */
+constexpr double kGlueS = 5e-4;
+constexpr double kGlueFrac = 0.01;
+
+/** Faults the self-test injects to show that the checks catch them. */
+struct Faults
+{
+    /** Corrupt the first op's output before its check. */
+    bool invariant = false;
+    /** Do untraced work inside the first traced op's root span. */
+    bool attribution = false;
+};
+
+/**
  * Run whole passes for about @p budgetS seconds (at least @p minOps
  * ops, at least one pass). The pass count is fixed after the first
  * pass, so every run measures the same op mix whatever the host speed.
  * With @p rec set each op runs traced.
  */
 Phase
-runPhase(Workload &w, double budgetS, std::size_t minOps, bool breakInvariant,
+runPhase(Workload &w, double budgetS, std::size_t minOps, Faults faults,
          SpanRecorder *rec)
 {
     sim::OperatingPointCache &cache = sim::OperatingPointCache::instance();
@@ -202,18 +226,22 @@ runPhase(Workload &w, double budgetS, std::size_t minOps, bool breakInvariant,
                 w.runOp(i);
                 opS = secondsSince(ts);
             } else {
-                Attribution a = w.runTracedOp(i, opId, *rec);
-                opS = a.spanS;
-                double sumS = 0.0, minS = 0.0;
-                for (const auto &[layer, s] : a.selfS) {
-                    sumS += s;
-                    minS = std::min(minS, s);
+                const int root = rec->begin("op", opId);
+                w.runTracedOp(i, opId, root, *rec);
+                if (faults.attribution && opId == 0) {
+                    const auto until =
+                        Clock::now() + std::chrono::milliseconds(20);
+                    while (Clock::now() < until) {
+                    }
                 }
-                // Self times must add up to the span, and no layer may
-                // take more than its container beyond timer noise.
-                if (std::abs(sumS - a.spanS) > 1e-9 + 1e-6 * a.spanS ||
-                    minS < -0.05 * a.spanS - 1e-4)
+                opS = rec->end(root);
+                // The child calls must account for the op's span: time
+                // outside them is work no layer is charged for.
+                const double unaccounted = std::abs(rec->unaccountedS(root));
+                if (unaccounted > kGlueS + kGlueFrac * opS)
                     ++ph.selfTimeViolations;
+                ph.maxUnaccountedFrac =
+                    std::max(ph.maxUnaccountedFrac, unaccounted / opS);
             }
             ++ph.attempted;
             ph.opMs.push_back(1e3 * opS);
@@ -221,7 +249,7 @@ runPhase(Workload &w, double budgetS, std::size_t minOps, bool breakInvariant,
             ph.oppointMisses += missed;
             ph.oppointHits += cache.hits() - hits0;
 
-            OpOutcome o = w.checkOp(i, breakInvariant && opId == 0);
+            OpOutcome o = w.checkOp(i, faults.invariant && opId == 0);
             ph.simWork += o.simWork;
             if (missed > 0)
                 o.error = "operating-point cache miss in the timed phase";
@@ -282,48 +310,36 @@ main(int argc, char **argv)
     return 2;
 #endif
     sim::setQuickFactor(1.0);
-    // One malloc arena: with per-thread arenas, how much freed memory
-    // each pool worker's arena retains depends on thread scheduling, and
-    // peak RSS of the parallel rack ops swung by a third from run to run.
-    mallopt(M_ARENA_MAX, 1);
 
     const unsigned workers =
         std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
     const std::string scratch = a.out + "/scratch-" + a.workload;
-    // Set up three times and report the median: one setup of a fraction
-    // of a second is at the mercy of a single host hiccup. The last
-    // setup's workload is the one measured.
-    std::unique_ptr<Workload> w;
-    std::vector<double> setups;
-    auto setupStart = processStart;
-    for (int k = 0; k < 3; ++k) {
-        sim::OperatingPointCache::instance().clear();
-        w = makeWorkload(a.workload, a.seed, workers, scratch);
-        if (!w)
-            usage(("unknown workload " + a.workload).c_str());
-        w->setup();
-        setups.push_back(secondsSince(setupStart));
-        setupStart = Clock::now();
-    }
+    std::unique_ptr<Workload> w =
+        makeWorkload(a.workload, a.seed, workers, scratch);
+    if (!w)
+        usage(("unknown workload " + a.workload).c_str());
+    w->setup();
+    const double setupS = secondsSince(processStart);
 
     obs::JsonWriter j;
     j.beginObject();
     printEnvelope(j, a);
-    j.field("setup_s", percentile(setups, 50.0));
-    j.key("setup_samples");
-    j.beginArray();
-    for (double s : setups)
-        j.value(s);
-    j.endArray();
+    j.field("setup_s", setupS);
+    if (a.setupOnly) {
+        j.endObject();
+        std::printf("%s\n", j.str().c_str());
+        return 0;
+    }
 
     const double untracedBudget = a.trace ? a.seconds / 3.0 : a.seconds;
     Phase timed = runPhase(*w, untracedBudget, a.trace ? 0 : a.minOps,
-                           a.breakInvariant, nullptr);
+                           {a.breakInvariant, false}, nullptr);
     const double rssMb = peakRssMb();
     SpanRecorder rec;
     Phase traced;
     if (a.trace)
-        traced = runPhase(*w, a.seconds - untracedBudget, 0, false, &rec);
+        traced = runPhase(*w, a.seconds - untracedBudget, 0,
+                          {false, a.breakAttribution}, &rec);
 
     // Verification pass at the default seed (reusing the timed first
     // pass when the run is at the default seed).
@@ -333,7 +349,7 @@ main(int argc, char **argv)
         std::unique_ptr<Workload> ref =
             makeWorkload(a.workload, kDefaultSeed, workers, scratch);
         ref->setup();
-        verify = runPhase(*ref, 0.0, 0, false, nullptr);
+        verify = runPhase(*ref, 0.0, 0, {}, nullptr);
         digest = verify.firstPassDigest;
     }
 
@@ -370,6 +386,7 @@ main(int argc, char **argv)
         LayerMetrics layers = w->layerMetrics();
         const double lookups =
             static_cast<double>(traced.oppointHits + traced.oppointMisses);
+        layers["process.peak_rss_mb"] = rssMb;
         layers["oppoint.misses"] = static_cast<double>(traced.oppointMisses);
         layers["oppoint.hit_ratio"] =
             lookups > 0.0 ? static_cast<double>(traced.oppointHits) / lookups
@@ -379,11 +396,10 @@ main(int argc, char **argv)
             static_cast<double>(traced.selfTimeViolations);
         j.key("layers");
         j.beginObject();
-        for (const std::string &name : layerMetricNames()) {
-            auto it = layers.find(name);
-            j.field(name, it == layers.end() ? 0.0 : it->second);
-        }
+        for (const auto &[name, value] : layers)
+            j.field(name, value);
         j.endObject();
+        j.field("unaccounted_frac_max", traced.maxUnaccountedFrac);
         const std::string spans = a.out + "/spans-" + a.workload + "-" +
                                   std::to_string(a.seed) + ".json";
         if (!rec.writeJson(spans)) {

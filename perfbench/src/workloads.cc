@@ -141,10 +141,10 @@ class CoreOppoints : public Workload
         return out;
     }
 
-    Attribution
-    runTracedOp(std::size_t i, std::uint64_t opId, SpanRecorder &rec) override
+    void
+    runTracedOp(std::size_t i, std::uint64_t opId, int root,
+                SpanRecorder &rec) override
     {
-        int root = rec.begin("op", opId);
         sim::RunConfig fixedCfg = ops[i];
         fixedCfg.measureOps = 1;
         sim::RunResult fixed;
@@ -152,7 +152,6 @@ class CoreOppoints : public Workload
                              [&] { last = sim::run(ops[i]); });
         double fixedS = timed(rec, "sim.run[measureOps=1]", opId, root,
                               [&] { fixed = sim::run(fixedCfg); });
-        rec.end(root);
 
         fullSeconds.push_back(fullS);
         fixedSeconds.push_back(fixedS);
@@ -171,7 +170,6 @@ class CoreOppoints : public Workload
             }
             passCycles += last.totalCycles;
         }
-        return {fullS, {{"core.fixed", fixedS}, {"core.window", fullS - fixedS}}};
     }
 
     LayerMetrics
@@ -312,10 +310,10 @@ class RackIngress : public Workload
         return out;
     }
 
-    Attribution
-    runTracedOp(std::size_t i, std::uint64_t opId, SpanRecorder &rec) override
+    void
+    runTracedOp(std::size_t i, std::uint64_t opId, int root,
+                SpanRecorder &rec) override
     {
-        int root = rec.begin("op", opId);
         double parallelS = timed(rec, "scenario.runRack[workers]", opId, root,
                                  [&] { runOp(i); });
         scenario::Scenario serialOp = ops[i];
@@ -355,7 +353,6 @@ class RackIngress : public Workload
         }
         if (i == 0)
             traceDrill(opId, root, rec);
-        rec.end(root);
 
         parallelSeconds.push_back(parallelS);
         serialSeconds.push_back(serialS);
@@ -377,7 +374,6 @@ class RackIngress : public Workload
             for (const sim::FleetResult &node : last.nodes)
                 control.add(node.dispatch);
         }
-        return {serialS, {{"cluster", serialS - replayS}, {"fleet", replayS}}};
     }
 
     /** The telemetry layer: `rack/quiet` with artifacts minus bare. */
@@ -538,15 +534,15 @@ class SlackDuty : public Workload
         return out;
     }
 
-    Attribution
-    runTracedOp(std::size_t i, std::uint64_t opId, SpanRecorder &rec) override
+    void
+    runTracedOp(std::size_t i, std::uint64_t opId, int root,
+                SpanRecorder &rec) override
     {
-        double s = timed(rec, "queueing.simulateService", opId, -1,
+        double s = timed(rec, "queueing.simulateService", opId, root,
                          [&] { runOp(i); });
         const Op &op = ops[i];
         double reqs = static_cast<double>(op.knobs.requests + op.knobs.warmup);
         (op.knobs.duty < 1.0 ? modulated : unmodulated).add(s, reqs);
-        return {s, {{"queueing", s}}};
     }
 
     LayerMetrics
@@ -600,46 +596,6 @@ makeWorkload(const std::string &name, std::uint64_t seed, unsigned workers,
     if (name == "slack-duty")
         return std::make_unique<SlackDuty>(seed);
     return nullptr;
-}
-
-const std::vector<std::string> &
-layerMetricNames()
-{
-    static const std::vector<std::string> names = {
-        "core.ns_per_cycle",
-        "core.fixed_ms",
-        "core.window_ns_per_cycle",
-        "core.cycles",
-        "core.uops",
-        "cache.l1d_mpki",
-        "cache.llc_mpki",
-        "bp.mpki",
-        "core.rob_stall_frac",
-        "oppoint.misses",
-        "oppoint.hit_ratio",
-        "scenario.lower_ms",
-        "obs.ms_per_op",
-        "obs.artifact_mb_per_op",
-        "obs.bytes_per_request",
-        "fleet.drill_bare_ms",
-        "fleet.ns_per_request",
-        "fleet.mode_transitions",
-        "fleet.throttle_engagements",
-        "fleet.shed_ratio",
-        "fleet.replay_mismatches",
-        "cluster.steer_ns_per_request",
-        "cluster.parallel_speedup",
-        "cluster.failovers",
-        "cluster.spillovers",
-        "cluster.signal_refreshes",
-        "cluster.node_imbalance",
-        "queueing.modulated_ns_per_request",
-        "queueing.unmodulated_ns_per_request",
-        "queueing.peak_search_ms",
-        "trace.ops_per_s_delta",
-        "trace.self_time_violations",
-    };
-    return names;
 }
 
 } // namespace perfbench
