@@ -8,6 +8,7 @@
  */
 
 #include <cstdint>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <vector>
 
@@ -270,6 +271,94 @@ TEST(ClusterConfigTest, HomogeneousClusterDecorrelatesNodeSeeds)
             EXPECT_EQ(cfg.nodes[j].cores[c].seed, node.cores[c].seed);
         }
     }
+}
+
+// ---------------------------------------------------- golden ingress streams
+//
+// Exact ingress output, pinned bit-for-bit: a 64-bit FNV-1a hash over
+// every injected record the nodes receive, plus the ingress counters.
+// Any change to the ingress's arrival, class-tag or demand draws — or to
+// how gaps split at action boundaries — fails here.
+
+std::uint64_t
+injectedHash(const cluster::ClusterResult &r)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    auto bits = [](double d) {
+        std::uint64_t u;
+        std::memcpy(&u, &d, sizeof u);
+        return u;
+    };
+    for (const std::vector<sim::InjectedArrival> &node : r.injected) {
+        mix(node.size());
+        for (const sim::InjectedArrival &a : node) {
+            mix(bits(a.atMs));
+            mix(a.classId);
+            mix(bits(a.demand));
+            mix(bits(a.latencyOffsetMs));
+        }
+    }
+    return h;
+}
+
+/** The pinned figures of one cluster run. */
+struct IngressPin
+{
+    std::uint64_t hash;
+    std::uint64_t decisions;
+    std::uint64_t migrations;
+    std::uint64_t failovers;
+    std::uint64_t spillovers;
+    std::uint64_t signalRefreshes;
+    std::vector<std::uint64_t> steered;
+};
+
+void
+expectPinned(const cluster::ClusterResult &r, const IngressPin &pin)
+{
+    EXPECT_EQ(injectedHash(r), pin.hash);
+    EXPECT_EQ(r.ingress.decisions, pin.decisions);
+    EXPECT_EQ(r.ingress.migrations, pin.migrations);
+    EXPECT_EQ(r.ingress.failovers, pin.failovers);
+    EXPECT_EQ(r.ingress.spillovers, pin.spillovers);
+    EXPECT_EQ(r.ingress.signalRefreshes, pin.signalRefreshes);
+    EXPECT_EQ(r.ingress.steered, pin.steered);
+}
+
+TEST(TrafficGolden, ClusterSmallRack)
+{
+    expectPinned(cluster::runCluster(smallRack()),
+                 {0x0f8e40d77598474eull, 2000, 0, 0, 0, 236,
+                  {556, 520, 484, 440}});
+}
+
+TEST(TrafficGolden, ClusterSmallRackWithClasses)
+{
+    // Two classes on the shared stream, under a flash crowd (gaps split
+    // at both scale changes) and a node failure.
+    cluster::ClusterConfig cfg = smallRack();
+    cfg.classes = workloads::ServiceClassRegistry::searchAnalyticsPair(
+        8.0, 80.0);
+    cfg.actions = {{cluster::NodeAction::Kind::ArrivalScale, 20.0, 0, 1.8},
+                   {cluster::NodeAction::Kind::NodeFail, 30.0, 2, 1.0},
+                   {cluster::NodeAction::Kind::ArrivalScale, 45.0, 0, 1.0}};
+    expectPinned(cluster::runCluster(cfg),
+                 {0x16a4959c7cf5ed53ull, 2000, 0, 18, 0, 216,
+                  {642, 629, 76, 653}});
+
+    // The same classes on per-class streams, one of them bursty.
+    cfg.actions.clear();
+    cfg.perClassArrivals = true;
+    cfg.classes.classAt(1).traffic.burstRatio = 4.0;
+    expectPinned(cluster::runCluster(cfg),
+                 {0xe1b9b24ae4b55f6aull, 2000, 0, 0, 0, 229,
+                  {493, 511, 503, 493}});
 }
 
 // ---------------------------------------------------------- scenario layer

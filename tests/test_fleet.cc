@@ -803,5 +803,115 @@ TEST(FleetDynamicModes, ClosedLoopIsBitIdenticalSerialVsParallel)
     }
 }
 
+// ---- Golden traffic streams --------------------------------------------
+//
+// Exact outputs of drawn-traffic dispatch, pinned bit-for-bit. Arrival
+// gaps, class tags and demand draws feed every figure below, so any
+// change to how the dispatcher generates its traffic fails here.
+
+/** Four flat cores of unequal speed under the given placement policy. */
+DispatchConfig
+goldenConfig(PlacementPolicy policy)
+{
+    DispatchConfig cfg;
+    cfg.rates = {ModeRates::flat(1.0), ModeRates::flat(0.8),
+                 ModeRates::flat(1.2), ModeRates::flat(0.6)};
+    cfg.policy = policy;
+    cfg.requests = 6000;
+    cfg.seed = 2024;
+    return cfg;
+}
+
+/** The pinned figures of one dispatch run. */
+struct DispatchPin
+{
+    double elapsedMs;
+    double p99Ms;
+    double maxMs;
+    std::vector<std::uint64_t> placed;
+    std::vector<std::uint64_t> classCompleted;
+};
+
+void
+expectPinned(const DispatchOutcome &out, const DispatchPin &pin)
+{
+    EXPECT_EQ(out.elapsedMs, pin.elapsedMs);
+    EXPECT_EQ(out.latencyMs.p99, pin.p99Ms);
+    EXPECT_EQ(out.latencyMs.max, pin.maxMs);
+    EXPECT_EQ(out.placed, pin.placed);
+    std::vector<std::uint64_t> completed;
+    for (const ClassOutcome &co : out.perClass)
+        completed.push_back(co.completed);
+    EXPECT_EQ(completed, pin.classCompleted);
+}
+
+TEST(TrafficGolden, DispatchPoisson)
+{
+    expectPinned(dispatchRequests(goldenConfig(PlacementPolicy::LeastLoaded)),
+                 {2371.3705482199316, 5.9843546017929121, 9.3211342880987615,
+                  {1896, 1453, 1755, 896},
+                  {}});
+}
+
+TEST(TrafficGolden, DispatchMmpp)
+{
+    DispatchConfig cfg = goldenConfig(PlacementPolicy::PowerOfTwo);
+    cfg.arrivalRatePerMs = 2.6;
+    cfg.burstRatio = 4.0;
+    cfg.dwellLowMs = 30.0;
+    cfg.dwellHighMs = 8.0;
+    expectPinned(dispatchRequests(cfg),
+                 {2592.3784583625538, 33.124764150103772, 39.494490349097305,
+                  {1712, 1416, 1842, 1030},
+                  {}});
+}
+
+TEST(TrafficGolden, DispatchDiurnal)
+{
+    DispatchConfig cfg = goldenConfig(PlacementPolicy::QosAware);
+    cfg.diurnalTrace = queueing::DiurnalTrace::webSearchCluster();
+    cfg.msPerHour = 20.0;
+    expectPinned(dispatchRequests(cfg),
+                 {2417.4275753407405, 12.968712349342937, 16.799108692789332,
+                  {1594, 1417, 1671, 1318},
+                  {}});
+}
+
+TEST(TrafficGolden, DispatchTwoClassesOnOneStream)
+{
+    DispatchConfig cfg = goldenConfig(PlacementPolicy::ClassAware);
+    cfg.classes =
+        workloads::ServiceClassRegistry::searchAnalyticsPair(8.0, 80.0);
+    expectPinned(dispatchRequests(cfg),
+                 {2374.1122626896135, 21.937410968480304, 44.349296907409325,
+                  {1750, 1038, 2271, 941},
+                  {4021, 1979}});
+}
+
+TEST(TrafficGolden, DispatchPerClassStreams)
+{
+    // A bursty MMPP class beside a Poisson one, then both classes
+    // replaying the day six hours apart.
+    DispatchConfig cfg = goldenConfig(PlacementPolicy::LeastLoaded);
+    cfg.classes =
+        workloads::ServiceClassRegistry::searchAnalyticsPair(8.0, 80.0);
+    cfg.classes.classAt(1).traffic.burstRatio = 4.0;
+    cfg.classes.classAt(1).traffic.dwellLowMs = 30.0;
+    cfg.classes.classAt(1).traffic.dwellHighMs = 8.0;
+    cfg.perClassArrivals = true;
+    expectPinned(dispatchRequests(cfg),
+                 {2440.8846912321242, 11.71870833325926, 51.775597380901672,
+                  {1850, 1433, 1803, 914},
+                  {3999, 2001}});
+
+    cfg.diurnalTrace = queueing::DiurnalTrace::webSearchCluster();
+    cfg.msPerHour = 20.0;
+    cfg.classes.classAt(1).traffic.phaseOffsetHours = 6.0;
+    expectPinned(dispatchRequests(cfg),
+                 {2450.7720577091, 18.437394067492292, 35.757256439480443,
+                  {1769, 1365, 1922, 944},
+                  {3962, 2038}});
+}
+
 } // namespace
 } // namespace stretch::sim
