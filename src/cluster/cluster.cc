@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "queueing/arrivals.h"
 #include "util/log.h"
 #include "util/rng.h"
 #include "util/seed_stream.h"
@@ -166,42 +164,16 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         totalCapacity += capacity[j];
     }
 
-    so.ratePerMs = cfg.arrivalRatePerMs > 0.0 ? cfg.arrivalRatePerMs
-                                              : 0.7 * totalCapacity;
+    so.ratePerMs = cfg.offeredRatePerMs(totalCapacity);
 
-    // Arrival machinery, mirroring the dispatcher's own setup so a rack
-    // of one node sees the same *kind* of traffic a single fleet does.
-    Rng arrivalRng(util::deriveSeed(cfg.seed, kArrivalStream, 0));
-    Rng demandRng(util::deriveSeed(cfg.seed, kDemandStream, 0));
-    Rng tagRng(util::deriveSeed(cfg.seed, kClassTagStream, 0));
+    // The dispatcher's own traffic source on the ingress's streams, so a
+    // rack of one node sees the same *kind* of traffic a fleet does.
+    sim::TrafficSource traffic(
+        cfg, so.ratePerMs,
+        {Rng(util::deriveSeed(cfg.seed, kArrivalStream, 0)),
+         Rng(util::deriveSeed(cfg.seed, kClassTagStream, 0)),
+         Rng(util::deriveSeed(cfg.seed, kDemandStream, 0)), kArrivalStream});
     Rng probeRng(util::deriveSeed(cfg.seed, kProbeStream, 0));
-
-    std::optional<queueing::ArrivalProcess> shared;
-    std::optional<queueing::ClassArrivalSuperposition> perClass;
-    if (cfg.perClassArrivals) {
-        const std::vector<double> shares = cfg.classes.arrivalShares();
-        std::vector<queueing::ClassArrivalSuperposition::Stream> streams;
-        streams.reserve(shares.size());
-        for (std::size_t k = 0; k < shares.size(); ++k) {
-            const workloads::ClassTraffic &t = cfg.classes.at(
-                static_cast<workloads::ClassId>(k)).traffic;
-            const double r = so.ratePerMs * shares[k];
-            auto proc = t.burstRatio > 1.0
-                            ? queueing::ArrivalProcess::mmpp(
-                                  r, t.burstRatio, t.dwellLowMs,
-                                  t.dwellHighMs)
-                            : queueing::ArrivalProcess::poisson(r);
-            streams.push_back(
-                {proc, Rng(util::deriveSeed(cfg.seed, kArrivalStream, k))});
-        }
-        perClass.emplace(std::move(streams));
-    } else {
-        shared = cfg.burstRatio > 1.0
-                     ? queueing::ArrivalProcess::mmpp(
-                           so.ratePerMs, cfg.burstRatio, cfg.dwellLowMs,
-                           cfg.dwellHighMs)
-                     : queueing::ArrivalProcess::poisson(so.ratePerMs);
-    }
 
     // Live-node bookkeeping (rebuilt on liveness changes — rare).
     std::vector<std::size_t> live(n);
@@ -484,17 +456,9 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         // Next cluster arrival. The gap splits at action boundaries so
         // an arrival-scale change applies at its exact timestamp (the
         // pre-boundary part of the gap elapses at the old rate).
-        double gap;
-        std::uint32_t cls = 0;
-        if (perClass) {
-            const queueing::EventEngine::Arrival a = perClass->next();
-            gap = a.gapMs;
-            cls = a.classId;
-        } else {
-            gap = shared->next(arrivalRng);
-            if (hasClasses)
-                cls = cfg.classes.sample(tagRng);
-        }
+        const queueing::EventEngine::Arrival next = traffic.nextArrival();
+        double gap = next.gapMs;
+        const std::uint32_t cls = next.classId;
         while (nextAction < actions.size() &&
                t + gap / arrivalFactor >= actions[nextAction].atMs) {
             gap -= (actions[nextAction].atMs - t) * arrivalFactor;
@@ -503,14 +467,7 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             ++nextAction;
         }
         t += gap / arrivalFactor;
-
-        const double demand =
-            hasClasses ? cfg.classes.drawDemand(cls, demandRng)
-            : cfg.demandLogSigma > 0.0
-                ? demandRng.lognormal(
-                      -cfg.demandLogSigma * cfg.demandLogSigma / 2.0,
-                      cfg.demandLogSigma) // unit mean
-                : demandRng.exponential(1.0);
+        const double demand = traffic.nextDemand(cls);
 
         refreshSignals(t);
 
@@ -747,17 +704,9 @@ homogeneousCluster(unsigned n, const sim::FleetConfig &node)
 {
     STRETCH_ASSERT(n >= 1, "a cluster needs at least one node");
     ClusterConfig cfg;
-    cfg.seed = node.seed;
-    cfg.requests = node.requests * n;
-    cfg.arrivalRatePerMs =
-        node.arrivalRatePerMs > 0.0 ? node.arrivalRatePerMs * n : 0.0;
-    cfg.burstRatio = node.burstRatio;
-    cfg.dwellLowMs = node.dwellLowMs;
-    cfg.dwellHighMs = node.dwellHighMs;
-    cfg.classes = node.classes;
-    cfg.perClassArrivals = node.perClassArrivals;
-    cfg.exactTailQuantiles = node.exactTailQuantiles;
-    cfg.timelineBucketMs = node.timelineBucketMs;
+    static_cast<sim::TrafficSpec &>(cfg) = node;
+    cfg.requests *= n;
+    cfg.arrivalRatePerMs *= n; // 0 keeps the 70% default
     cfg.nodes.reserve(n);
     for (unsigned j = 0; j < n; ++j) {
         sim::FleetConfig nc = node;
@@ -785,8 +734,6 @@ runCluster(const ClusterConfig &cfg)
                    "the affinity ring needs at least one point per node");
     STRETCH_ASSERT(cfg.ingress.spilloverBacklogMs > 0.0,
                    "the spillover threshold must be positive");
-    STRETCH_ASSERT(!cfg.perClassArrivals || !cfg.classes.empty(),
-                   "per-class arrival processes need a class registry");
     STRETCH_ASSERT(cfg.nodeTracers.empty() || cfg.nodeTracers.size() == n,
                    "nodeTracers must be empty or one per node");
     std::size_t failures = 0;
@@ -835,6 +782,8 @@ runCluster(const ClusterConfig &cfg)
         nc.perClassArrivals = false; // arrivals are injected, not drawn
         nc.exactTailQuantiles = cfg.exactTailQuantiles;
         nc.timelineBucketMs = cfg.timelineBucketMs;
+        nc.diurnalTrace = cfg.diurnalTrace;
+        nc.msPerHour = cfg.msPerHour;
         nc.requests = so.injected[j].size();
         nc.injected = &so.injected[j];
         nc.keepRecorders = true;

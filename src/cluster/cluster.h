@@ -12,15 +12,17 @@
  *     process-wide `OperatingPointCache`, so homogeneous racks pay for
  *     one node), yielding per-node aggregate service capacity in
  *     requests/ms.
- *  2. **Ingress steering (serial).** One cluster-wide arrival stream is
- *     synthesized exactly the way the dispatcher would (same arrival
- *     processes, per-class superposition, unit-mean demand draws), and
- *     each request is steered to a node by the configured
- *     `IngressPolicy`. The ingress models every node as a fluid FCFS
- *     queue draining at its measured capacity and steers on *stale*
- *     backlog signals: queue signals refresh every
- *     `IngressConfig::signalDelayMs` (liveness is known immediately —
- *     health checks are fast, load telemetry is not). Optional
+ *  2. **Ingress steering (serial).** One cluster-wide stream is drawn
+ *     by the dispatcher's own `sim::TrafficSource` (Poisson, MMPP-2 or
+ *     diurnal replay, per-class superposition with phase offsets,
+ *     class tags and demands) on the ingress's RNG streams, and each
+ *     request is steered to a node by the configured `IngressPolicy`.
+ *     Every node takes the same trace, so node timelines and class-aware
+ *     reservations follow the day the ingress replayed. The ingress
+ *     models every node as a fluid FCFS queue draining at its measured
+ *     capacity and steers on *stale* backlog signals: queue signals
+ *     refresh every `IngressConfig::signalDelayMs` (liveness is known
+ *     immediately — health checks are fast, load telemetry is not). Optional
  *     straggler migration re-steers the oldest still-queued request of
  *     a node once it has waited past `migrateSojournMs`. Node-scoped
  *     incidents (`NodeAction`) fail or degrade nodes mid-stream with
@@ -55,7 +57,6 @@
 
 #include "sim/fleet.h"
 #include "stats/streaming_tail.h"
-#include "workload/service_class.h"
 
 namespace stretch::cluster
 {
@@ -153,49 +154,22 @@ struct NodeAction
     double value = 1.0;   ///< arrival factor / capacity factor
 };
 
-/** Full description of a rack experiment: N nodes + ingress. */
-struct ClusterConfig
+/**
+ * Full description of a rack experiment: the cluster-wide traffic
+ * (TrafficSpec, drawn at the ingress; its seed also drives the probes),
+ * N nodes and the ingress. The default rate is 70% of the summed
+ * measured node capacities. Every node takes the spec's classes, diurnal
+ * trace, timeline buckets and quantile fidelity, so ingress tags and node
+ * accounting always agree and the merged timeline shares the node
+ * buckets.
+ */
+struct ClusterConfig : sim::TrafficSpec
 {
     /** One complete fleet per node (homogeneous replication via
-     *  `homogeneousCluster`, or an explicit heterogeneous list). Node
-     *  class registries are overridden by `classes` below so ingress
-     *  tags and node accounting always agree. */
+     *  `homogeneousCluster`, or an explicit heterogeneous list). */
     std::vector<sim::FleetConfig> nodes;
 
     IngressConfig ingress;
-
-    std::uint64_t requests = 20000; ///< cluster-wide stream length
-    /** Cluster-wide arrival rate (req/ms); 0 targets 70% of the summed
-     *  measured node capacities as the mean offered load. */
-    double arrivalRatePerMs = 0.0;
-    std::uint64_t seed = 42; ///< ingress arrival/demand/probe stream seed
-
-    /// @name Arrival burstiness: 1 = Poisson, > 1 = MMPP-2 bursts.
-    /// @{
-    double burstRatio = 1.0;
-    double dwellLowMs = 200.0;
-    double dwellHighMs = 40.0;
-    /// @}
-
-    /** Classless demand dispersion: 0 draws exponential unit-mean
-     *  demands, > 0 lognormal with this sigma (ignored with classes). */
-    double demandLogSigma = 0.0;
-
-    /** Request service classes (the ingress draws demands and tags
-     *  arrivals from this registry; propagated to every node). */
-    workloads::ServiceClassRegistry classes;
-
-    /** Per-class arrival processes at the ingress (requires classes;
-     *  mirrors sim::DispatchConfig::perClassArrivals). */
-    bool perClassArrivals = false;
-
-    /** Exact sort-based latency quantiles on every node and in the
-     *  cluster merge (see sim::DispatchConfig::exactTailQuantiles). */
-    bool exactTailQuantiles = false;
-
-    /** Completion-timeline bucketing, propagated to every node; the
-     *  merged cluster timeline shares the same buckets (0 = off). */
-    double timelineBucketMs = 0.0;
 
     /** Node-scoped incidents applied at the ingress. */
     std::vector<NodeAction> actions;
@@ -221,8 +195,8 @@ struct ClusterConfig
  * decorrelated placement/steering streams — while the per-core
  * microarchitectural configs stay identical across nodes, so the
  * operating-point cache measures one node and answers for the rack.
- * The node's class registry and dispatch knobs seed the cluster-level
- * fields.
+ * The node's traffic becomes the rack's, with the request count and an
+ * explicit rate scaled by @p n.
  */
 ClusterConfig homogeneousCluster(unsigned n, const sim::FleetConfig &node);
 

@@ -724,11 +724,9 @@ lowerQuiet(const Scenario &s)
 
     if (s.dayRequests) {
         STRETCH_ASSERT(s.trace, "day-sized stream without a diurnal trace");
-        double peak = fleet.arrivalRatePerMs > 0.0
-                          ? fleet.arrivalRatePerMs
-                          : 0.7 * capacity / s.trace->meanLoad();
         fleet.requests = static_cast<std::uint64_t>(
-            peak * s.trace->meanLoad() * 24.0 * s.msPerHour);
+            fleet.offeredRatePerMs(capacity) * s.trace->meanLoad() * 24.0 *
+            s.msPerHour);
     }
     return fleet;
 }

@@ -1,7 +1,6 @@
 #include "sim/fleet.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -10,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "queueing/arrivals.h"
 #include "queueing/event_engine.h"
 #include "sim/op_point_cache.h"
 #include "stats/streaming_tail.h"
@@ -221,11 +219,7 @@ dispatchRequests(const DispatchConfig &cfg)
 {
     const std::size_t n = cfg.rates.size();
     STRETCH_ASSERT(n > 0, "dispatch needs at least one core");
-    STRETCH_ASSERT(cfg.burstRatio >= 1.0, "burst ratio must be >= 1");
-    STRETCH_ASSERT(cfg.demandLogSigma >= 0.0, "negative demand sigma");
     STRETCH_ASSERT(cfg.timelineBucketMs >= 0.0, "negative timeline bucket");
-    STRETCH_ASSERT(!cfg.diurnalTrace || cfg.msPerHour > 0.0,
-                   "diurnal replay needs a positive ms-per-hour");
 
     const ModeControlConfig &mc = cfg.control;
     const bool dynamic = mc.kind != ModePolicyKind::Static;
@@ -253,9 +247,6 @@ dispatchRequests(const DispatchConfig &cfg)
     }
     STRETCH_ASSERT(cfg.policy != PlacementPolicy::ClassAware || classesOn,
                    "class-aware placement needs a non-empty class "
-                   "registry");
-    STRETCH_ASSERT(!perClassArr || classesOn,
-                   "per-class arrival processes need a non-empty class "
                    "registry");
     if (mc.kind == ModePolicyKind::BacklogHysteresis) {
         STRETCH_ASSERT(mc.engageBelowMs < mc.disengageAboveMs &&
@@ -359,73 +350,21 @@ dispatchRequests(const DispatchConfig &cfg)
     out.modeStats.assign(n, CoreModeStats{});
     for (std::size_t c = 0; c < n; ++c)
         out.modeStats[c].finalMode = mode[c];
-    if (cfg.arrivalRatePerMs > 0.0) {
-        out.offeredRatePerMs = cfg.arrivalRatePerMs;
-    } else if (cfg.diurnalTrace) {
-        // Default load under a trace: the offered rate is the peak rate,
-        // so normalise by the trace's mean load to keep the effective
-        // MEAN load at 70% of capacity regardless of the trace shape
-        // (an explicit rate stays the peak, documented in the config).
-        out.offeredRatePerMs =
-            0.7 * capacity / cfg.diurnalTrace->meanLoad();
-    } else {
-        out.offeredRatePerMs = 0.7 * capacity;
-    }
+    out.offeredRatePerMs = cfg.offeredRatePerMs(capacity);
     if (requests == 0)
         return out;
 
-    Rng arrivalsRng(cfg.seed, arrivalStream);
-    Rng demandsRng(cfg.seed, demandStream);
     Rng placementRng(cfg.seed, placementStream);
-    Rng classRng(cfg.seed, classStream);
-    // Arrival source: one fleet-wide stream (weighted class tagging), or
-    // — under perClassArrivals — one independent stream per class,
-    // superposed by next-arrival competition. The per-class RNGs derive
-    // from (seed, arrival stream, class id), so adding a class never
-    // perturbs another class's draws.
-    std::optional<queueing::ArrivalProcess> arrivals;
-    std::optional<queueing::ClassArrivalSuperposition> classArrivals;
-    if (perClassArr) {
-        std::vector<double> shares = classesLive.arrivalShares();
-        std::vector<queueing::ClassArrivalSuperposition::Stream> streams;
-        streams.reserve(shares.size());
-        for (std::size_t k = 0; k < shares.size(); ++k) {
-            const workloads::ClassTraffic &t =
-                classesLive.at(static_cast<workloads::ClassId>(k)).traffic;
-            double rate = shares[k] * out.offeredRatePerMs;
-            Rng rng(util::deriveSeed(cfg.seed, arrivalStream, k));
-            auto process = [&]() -> queueing::ArrivalProcess {
-                if (cfg.diurnalTrace) {
-                    return queueing::ArrivalProcess::diurnal(
-                        rate, *cfg.diurnalTrace, cfg.msPerHour,
-                        t.phaseOffsetHours);
-                }
-                if (t.burstRatio > 1.0) {
-                    return queueing::ArrivalProcess::mmpp(
-                        rate, t.burstRatio, t.dwellLowMs, t.dwellHighMs);
-                }
-                return queueing::ArrivalProcess::poisson(rate);
-            }();
-            streams.push_back({std::move(process), rng});
-        }
-        classArrivals.emplace(std::move(streams));
-    } else if (cfg.diurnalTrace) {
-        // Diurnal replay: the offered rate is the PEAK rate; the trace
-        // modulates the instantaneous rate below it.
-        arrivals = queueing::ArrivalProcess::diurnal(
-            out.offeredRatePerMs, *cfg.diurnalTrace, cfg.msPerHour);
-    } else if (cfg.burstRatio > 1.0) {
-        arrivals = queueing::ArrivalProcess::mmpp(
-            out.offeredRatePerMs, cfg.burstRatio, cfg.dwellLowMs,
-            cfg.dwellHighMs);
-    } else {
-        arrivals = queueing::ArrivalProcess::poisson(out.offeredRatePerMs);
+    // Drawn traffic (absent under injected replay): gaps, class tags and
+    // demands on the dispatcher's own streams.
+    std::optional<TrafficSource> traffic;
+    if (!injectedOn) {
+        traffic.emplace(cfg, out.offeredRatePerMs,
+                        TrafficStreams{Rng(cfg.seed, arrivalStream),
+                                       Rng(cfg.seed, classStream),
+                                       Rng(cfg.seed, demandStream),
+                                       arrivalStream});
     }
-    // Unit-mean demand in "mean-request units": the serving core's rate
-    // converts it to milliseconds, so a fast core finishes the same
-    // request sooner.
-    const double demandMu =
-        -cfg.demandLogSigma * cfg.demandLogSigma / 2.0;
 
     // Controllers exist only under dynamic policies; Static runs carry no
     // machine state, just the residency clock.
@@ -522,22 +461,6 @@ dispatchRequests(const DispatchConfig &cfg)
     latencies.reserve(requests);
     std::size_t rr_next = 0; // round-robin cursor over serving cores
 
-    // Gap draws are batched: arrivalsRng feeds nothing but interarrival
-    // gaps, so drawing a block ahead through ArrivalProcess::fill leaves
-    // every realized gap bit-identical while paying the variant dispatch
-    // once per block instead of once per arrival.
-    std::array<double, 256> gapBlock;
-    std::size_t gapNext = gapBlock.size();
-
-    // Demand draws are batched the same way when the stream allows it:
-    // with no class registry, demandsRng feeds one fixed distribution
-    // and nothing else, and every draw consumes a fixed number of
-    // uniforms — so prefetching a block through Rng::fill* leaves every
-    // realized demand bit-identical. Class-tagged runs draw per arrival
-    // (the distribution depends on the class tag).
-    std::array<double, 256> demandBlock;
-    std::size_t demandNext = demandBlock.size();
-
     // Injected-replay cursor: the engine asks for the arrival and then
     // immediately for that same request's demand, so one cursor serves
     // both hooks (demandFn reads the record arrivalFn just consumed).
@@ -557,18 +480,7 @@ dispatchRequests(const DispatchConfig &cfg)
             a.classId = ia.classId;
             return a;
         }
-        if (perClassArr) {
-            // Superposed per-class streams fix the gap and tag jointly.
-            a = classArrivals->next();
-        } else {
-            if (gapNext == gapBlock.size()) {
-                arrivals->fill(arrivalsRng, gapBlock.data(),
-                               gapBlock.size());
-                gapNext = 0;
-            }
-            a.gapMs = gapBlock[gapNext++];
-            a.classId = classesOn ? classesLive.sample(classRng) : 0;
-        }
+        a = traffic->nextArrival();
         // Incident traffic scaling happens at consumption, not at the
         // draw, and only off the neutral scale — so the realized gap
         // stream is bit-identical whenever no incident is in force.
@@ -579,20 +491,7 @@ dispatchRequests(const DispatchConfig &cfg)
     auto demandFn = [&](std::uint32_t cls) {
         if (injectedOn)
             return (*cfg.injected)[injectedNext - 1].demand;
-        if (classesOn)
-            return classesLive.drawDemand(cls, demandsRng);
-        if (demandNext == demandBlock.size()) {
-            if (cfg.demandLogSigma > 0.0) {
-                demandsRng.fillLognormal(demandMu, cfg.demandLogSigma,
-                                         demandBlock.data(),
-                                         demandBlock.size());
-            } else {
-                demandsRng.fillExponential(1.0, demandBlock.data(),
-                                           demandBlock.size());
-            }
-            demandNext = 0;
-        }
-        return demandBlock[demandNext++];
+        return traffic->nextDemand(cls);
     };
     auto placeFn = [&](double now, double demand,
                        std::uint32_t cls) -> std::size_t {
@@ -1298,23 +1197,11 @@ runFleet(const FleetConfig &cfg)
     fleet.batchUipc = stats::summarize(batch_uipc);
 
     DispatchConfig dispatch;
+    static_cast<TrafficSpec &>(dispatch) = cfg;
     dispatch.rates = fleet.modeRates;
     dispatch.policy = cfg.policy;
-    dispatch.requests = cfg.requests;
-    dispatch.arrivalRatePerMs = cfg.arrivalRatePerMs;
-    dispatch.seed = cfg.seed;
-    dispatch.burstRatio = cfg.burstRatio;
-    dispatch.dwellLowMs = cfg.dwellLowMs;
-    dispatch.dwellHighMs = cfg.dwellHighMs;
-    dispatch.diurnalTrace = cfg.diurnalTrace;
-    dispatch.msPerHour = cfg.msPerHour;
-    dispatch.timelineBucketMs = cfg.timelineBucketMs;
-    dispatch.classes = cfg.classes;
-    dispatch.perClassArrivals = cfg.perClassArrivals;
     dispatch.classRouting = cfg.classRouting;
-    dispatch.exactTailQuantiles = cfg.exactTailQuantiles;
     dispatch.incidents = cfg.incidents;
-    dispatch.queueKind = cfg.queueKind;
     dispatch.control = cfg.modeControl;
     dispatch.tracer = cfg.tracer;
     dispatch.metrics = cfg.metrics;

@@ -55,17 +55,15 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "qos/cpi2_monitor.h"
 #include "qos/stretch_controller.h"
-#include "queueing/diurnal.h"
 #include "sim/class_router.h"
 #include "sim/runner.h"
+#include "sim/traffic.h"
 #include "stats/streaming_tail.h"
 #include "stats/summary.h"
-#include "workload/service_class.h"
 
 namespace stretch::obs
 {
@@ -297,102 +295,22 @@ struct InjectedArrival
     double latencyOffsetMs = 0.0; ///< pre-arrival delay (steering cost)
 };
 
-/** Full description of a request-dispatch experiment over fixed cores. */
-struct DispatchConfig
+/**
+ * Full description of a request-dispatch experiment over fixed cores: the
+ * drawn traffic (TrafficSpec) plus the cores, placement, incidents and
+ * control loop that serve it.
+ */
+struct DispatchConfig : TrafficSpec
 {
     /** Per-mode service rates per core; a core with baseline == 0 cannot
-     *  serve (e.g. an idle LS thread). */
+     *  serve (e.g. an idle LS thread). The default offered rate is 70%
+     *  of the summed baseline rates (TrafficSpec::offeredRatePerMs). */
     std::vector<ModeRates> rates;
 
     PlacementPolicy policy = PlacementPolicy::RoundRobin;
 
-    std::uint64_t requests = 20000; ///< length of the dispatched stream
-    /**
-     * Fleet-wide arrival rate (requests per millisecond); 0 targets 70%
-     * of the aggregate baseline service capacity as the *mean* offered
-     * load, a moderately-loaded datacenter operating point. Under a
-     * diurnal trace an explicit rate is the PEAK rate (the rate at 100%
-     * trace load), while the 0 default is normalised by the trace's
-     * mean load — peak = 0.7 x capacity / meanLoad() — so the effective
-     * mean load stays at 70% regardless of the trace shape.
-     */
-    double arrivalRatePerMs = 0.0;
-    std::uint64_t seed = 42; ///< arrival/demand/placement stream seed
-
-    /// @name Arrival burstiness: 1 = Poisson, > 1 = MMPP-2 bursts.
-    /// @{
-    double burstRatio = 1.0;
-    double dwellLowMs = 200.0;
-    double dwellHighMs = 40.0;
-    /// @}
-
-    /**
-     * Demand dispersion: 0 draws exponential unit-mean demands (the
-     * historical dispatcher model); > 0 draws lognormal unit-mean demands
-     * with this sigma (the ServiceSpec service-time shape).
-     */
-    double demandLogSigma = 0.0;
-
-    /// @name Diurnal load replay.
-    /// When a trace is set it overrides burstRatio: arrivals become a
-    /// non-homogeneous Poisson process whose rate follows the 24-hour
-    /// curve. An explicit `arrivalRatePerMs` is the PEAK rate (the rate
-    /// at 100% trace load); the 0 default targets 70% *mean* load (see
-    /// arrivalRatePerMs above).
-    /// @{
-    std::optional<queueing::DiurnalTrace> diurnalTrace;
-    /** Time compression: simulated milliseconds per trace hour. */
-    double msPerHour = 50.0;
-    /// @}
-
-    /**
-     * Completion-timeline bucketing: > 0 slices the run into buckets of
-     * this many milliseconds and reports per-bucket latency summaries in
-     * `DispatchOutcome::timeline` (e.g. one bucket per replayed hour).
-     * 0 disables the timeline.
-     */
-    double timelineBucketMs = 0.0;
-
-    /**
-     * Request service classes. Empty keeps the historical untagged
-     * single-stream dispatch. Non-empty tags every arrival with a
-     * weighted class id, draws demands from the class's own distribution
-     * (demandLogSigma is then ignored), reports per-class latency and
-     * SLO attainment in `DispatchOutcome::perClass`, and — under
-     * SlackDriven control — gives every core one monitor per class with
-     * the class SLO as its target, so the mode ladder reacts to the
-     * tightest class on the core.
-     */
-    workloads::ServiceClassRegistry classes;
-
-    /**
-     * Give every service class its own arrival process (requires a
-     * non-empty class registry). Each class sources an independent
-     * stream — its normalised share of the fleet arrival rate
-     * (`ServiceClassRegistry::arrivalShares`), its own burstiness, and
-     * its own diurnal phase offset, all from `ServiceClass::traffic` —
-     * and the engine consumes the superposition by per-class
-     * next-arrival competition. The fleet-wide burstRatio/dwell knobs
-     * are then ignored (each class carries its own), while diurnalTrace
-     * and arrivalRatePerMs keep their fleet-wide meaning (the trace and
-     * the total rate the shares divide). False keeps the historical
-     * single shared stream with weighted class tagging.
-     */
-    bool perClassArrivals = false;
-
     /** Routing/admission knobs for PlacementPolicy::ClassAware. */
     ClassRouterConfig classRouting;
-
-    /**
-     * Latency-quantile fidelity. False (default) records completions
-     * into streaming log-scale histograms (stats::StreamingTail): O(1)
-     * per completion, bounded memory, quantiles within one histogram
-     * bin (< 0.8% relative) of the exact order statistic. True keeps
-     * every raw sample and reproduces the historical sort-based type-7
-     * quantiles bit-for-bit — for golden tests and figure benches that
-     * compare summaries across runs.
-     */
-    bool exactTailQuantiles = false;
 
     /**
      * Scheduled mid-run incidents, applied at exact simulated timestamps
@@ -427,9 +345,11 @@ struct DispatchConfig
      * Pre-steered arrival stream (non-owning; the cluster ingress sets
      * it). When non-null the dispatcher replays exactly these arrivals:
      * times, class tags, and demands come from the records — `requests`,
-     * the arrival/burstiness/diurnal knobs, and the demand distributions
-     * are all ignored — and each record's `latencyOffsetMs` is added to
-     * its recorded sojourn. The list must be sorted by `atMs`.
+     * the rate and burstiness knobs, and the demand distributions are
+     * all ignored, while a diurnal trace still labels timeline buckets
+     * and shapes class-aware reservations — and each record's
+     * `latencyOffsetMs` is added to its recorded sojourn. The list must
+     * be sorted by `atMs`.
      */
     const std::vector<InjectedArrival> *injected = nullptr;
 
@@ -444,7 +364,7 @@ struct DispatchConfig
 };
 
 /** Latency/throughput summary of one timeline bucket (see
- *  DispatchConfig::timelineBucketMs). */
+ *  TrafficSpec::timelineBucketMs). */
 struct TimelineBucket
 {
     double startMs = 0.0;           ///< bucket start (simulated time)
@@ -574,8 +494,9 @@ struct CoreSlot
     SkewConfig qmodeSkew{0, 0};
 };
 
-/** Full description of a fleet experiment. */
-struct FleetConfig
+/** Full description of a fleet experiment: the traffic (TrafficSpec,
+ *  handed to the dispatcher) plus the cores that serve it. */
+struct FleetConfig : TrafficSpec
 {
     /** One entry per SMT core; each is a complete colocation pair. */
     std::vector<RunConfig> cores;
@@ -590,54 +511,15 @@ struct FleetConfig
 
     PlacementPolicy policy = PlacementPolicy::RoundRobin;
 
-    /// @name Request-dispatch phase.
-    /// @{
-    std::uint64_t requests = 20000; ///< length of the dispatched stream
-    /** Fleet-wide arrival rate (req/ms); 0 targets 70% of measured
-     *  capacity as the *mean* load (trace-normalised under diurnal
-     *  replay — see DispatchConfig::arrivalRatePerMs). */
-    double arrivalRatePerMs = 0.0;
     /** Mean latency-sensitive request length in committed instructions. */
     double opsPerRequest = 500000.0;
-    std::uint64_t seed = 42; ///< dispatch arrival/demand stream seed
-    /** Arrival burstiness handed to the dispatcher (1 = Poisson). */
-    double burstRatio = 1.0;
-    /// @name MMPP-2 state dwells (burstRatio > 1 only).
-    /// @{
-    double dwellLowMs = 200.0;
-    double dwellHighMs = 40.0;
-    /// @}
-    /** Diurnal load replay (overrides burstRatio; arrivalRatePerMs
-     *  becomes the peak rate — see DispatchConfig). */
-    std::optional<queueing::DiurnalTrace> diurnalTrace;
-    /** Simulated milliseconds per trace hour (diurnal replay only). */
-    double msPerHour = 50.0;
-    /** Dispatch timeline bucketing in ms (0 = off). */
-    double timelineBucketMs = 0.0;
-    /// @}
-
-    /** Request service classes handed to the dispatcher (empty = the
-     *  historical untagged stream; see DispatchConfig::classes). */
-    workloads::ServiceClassRegistry classes;
-
-    /** Per-class arrival processes (requires classes; see
-     *  DispatchConfig::perClassArrivals). */
-    bool perClassArrivals = false;
 
     /** Routing/admission knobs for PlacementPolicy::ClassAware. */
     ClassRouterConfig classRouting;
 
-    /** Exact sort-based latency quantiles instead of the streaming
-     *  histogram default (see DispatchConfig::exactTailQuantiles). */
-    bool exactTailQuantiles = false;
-
     /** Scheduled mid-run incidents handed to the dispatcher (see
      *  DispatchConfig::incidents). */
     std::vector<IncidentAction> incidents;
-
-    /** Event-queue backing for the dispatch engine (see
-     *  DispatchConfig::queueKind). */
-    queueing::EventQueueKind queueKind = queueing::EventQueueKind::Calendar;
 
     /**
      * Per-core dynamic Stretch mode control. Any non-Static policy (or a

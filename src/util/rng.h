@@ -151,32 +151,20 @@ class Rng
         return std::exp(mu + sigma * gaussian());
     }
 
-    /// @name Block draws
-    /// Batched equivalents of the scalar draws above: each fills @p out
-    /// with exactly the values @p count sequential scalar calls would
-    /// have produced (every draw consumes a fixed number of uniforms, so
-    /// prefetching a block never perturbs the stream). Callers that own
-    /// a single-purpose stream use these to hoist the per-draw call
-    /// overhead out of hot loops — mirroring ArrivalProcess::fill.
-    /// @{
-
-    /** Fill @p out with @p count exponential(mean) draws. */
+    /**
+     * Fill @p out with @p count exponential(mean) draws: exactly the
+     * values @p count sequential exponential() calls would produce (each
+     * draw consumes one uniform, so prefetching a block never perturbs
+     * the stream). Callers that own a single-purpose stream use it to
+     * hoist the per-draw call overhead out of hot loops — mirroring
+     * ArrivalProcess::fill.
+     */
     void
     fillExponential(double mean, double *out, std::size_t count)
     {
         for (std::size_t i = 0; i < count; ++i)
             out[i] = exponential(mean);
     }
-
-    /** Fill @p out with @p count lognormal(mu, sigma) draws. */
-    void
-    fillLognormal(double mu, double sigma, double *out, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            out[i] = lognormal(mu, sigma);
-    }
-
-    /// @}
 
   private:
     static std::uint64_t

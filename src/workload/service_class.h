@@ -47,11 +47,11 @@ const char *toString(DemandShape shape);
 /**
  * Arrival-process shape of one class's own traffic stream. Honoured only
  * when the dispatcher runs per-class arrival processes
- * (`DispatchConfig::perClassArrivals`): each class then sources an
+ * (`sim::TrafficSpec::perClassArrivals`): each class then sources an
  * independent stream — its own share of the fleet arrival rate, its own
  * burstiness, and its own diurnal phase — superposed by next-arrival
- * competition (`queueing::ClassArrivalSuperposition`). Under the
- * historical shared stream these fields are ignored.
+ * competition (`queueing::ClassArrivalSuperposition`). Under the shared
+ * stream these fields are ignored.
  */
 struct ClassTraffic
 {

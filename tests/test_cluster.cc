@@ -7,6 +7,8 @@
  * node-failure QoS assertions that blind round-robin misses).
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -180,8 +182,9 @@ TEST(ClusterIngress, EveryPolicySteersTheFullStream)
         for (std::uint64_t s : r.ingress.steered) {
             total += s;
             nodesServing += s > 0 ? 1 : 0;
-            if (policy != cluster::IngressPolicy::FlowAffinity)
+            if (policy != cluster::IngressPolicy::FlowAffinity) {
                 EXPECT_GT(s, cfg.requests / 20);
+            }
         }
         EXPECT_EQ(total, cfg.requests);
         EXPECT_GE(nodesServing, 2u); // >= one home node per class
@@ -252,6 +255,50 @@ TEST(ClusterIngress, MigrationDrainsStragglersOffAHotNode)
     cfg.ingress.migrateSojournMs = 0.0;
     cluster::ClusterResult without = cluster::runCluster(cfg);
     EXPECT_EQ(without.ingress.migrations, 0u);
+}
+
+TEST(ClusterIngress, ReplaysTheDiurnalTrace)
+{
+    const queueing::DiurnalTrace trace =
+        queueing::DiurnalTrace::webSearchCluster();
+    cluster::ClusterConfig cfg = smallRack();
+    cfg.requests = 6000;
+    cfg.diurnalTrace = trace;
+    cfg.msPerHour = 10.0;
+    cfg.timelineBucketMs = cfg.msPerHour;
+    cluster::ClusterResult r = cluster::runCluster(cfg);
+
+    // Rate 0 offers 70% of the summed capacity as the mean load, so the
+    // peak rate is normalised by the trace's mean load.
+    double capacity = 0.0;
+    for (double c : r.ingress.capacityPerMs)
+        capacity += c;
+    EXPECT_DOUBLE_EQ(r.merged.dispatch.offeredRatePerMs,
+                     0.7 * capacity / trace.meanLoad());
+
+    // Arrivals per hour of the day, over the whole replayed days.
+    const double dayMs = 24.0 * cfg.msPerHour;
+    double lastMs = 0.0;
+    for (const std::vector<sim::InjectedArrival> &node : r.injected)
+        for (const sim::InjectedArrival &a : node)
+            lastMs = std::max(lastMs, a.atMs - a.latencyOffsetMs);
+    const double days = std::floor(lastMs / dayMs);
+    ASSERT_GE(days, 1.0);
+    std::vector<std::uint64_t> perHour(24, 0);
+    for (const std::vector<sim::InjectedArrival> &node : r.injected) {
+        for (const sim::InjectedArrival &a : node) {
+            const double at = a.atMs - a.latencyOffsetMs;
+            if (at < days * dayMs)
+                ++perHour[static_cast<std::size_t>(at / cfg.msPerHour) % 24];
+        }
+    }
+    const auto [quietest, busiest] =
+        std::minmax_element(perHour.begin(), perHour.end());
+    EXPECT_GE(*busiest, 2 * *quietest);
+
+    // The nodes replay the same day: their timelines carry its load.
+    ASSERT_FALSE(r.nodes[0].dispatch.timeline.empty());
+    EXPECT_GT(r.nodes[0].dispatch.timeline.front().loadFraction, 0.0);
 }
 
 TEST(ClusterConfigTest, HomogeneousClusterDecorrelatesNodeSeeds)

@@ -446,7 +446,6 @@ TEST(ModeControl, BurstyArrivalsAreDeterministic)
 {
     DispatchConfig cfg = dynamicConfig();
     cfg.burstRatio = 4.0;
-    cfg.demandLogSigma = 0.4;
     cfg.control.kind = ModePolicyKind::BacklogHysteresis;
     DispatchOutcome a = dispatchRequests(cfg);
     DispatchOutcome b = dispatchRequests(cfg);
