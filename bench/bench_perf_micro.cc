@@ -122,12 +122,8 @@ constexpr std::uint64_t engineRequests = 200000;
 /// servers, exponential demand with mean 1.6 ms -> ~80% utilisation.
 constexpr double oneClassRate = 4.0;
 
-/**
- * Shared one-class policy: the calendar, heap, and erased-adapter
- * benches all drive exactly this workload, built in one place so the
- * variants can never drift apart (the PR 6 benches duplicated these
- * lambdas per bench).
- */
+/** One-class policy: least-free placement over the pool, counting
+ *  completions into @p completed. */
 auto
 makeOneClassPolicy(queueing::EventEngine &engine, Rng &rng,
                    queueing::PoissonArrivals &arrivals,
@@ -152,10 +148,10 @@ makeOneClassPolicy(queueing::EventEngine &engine, Rng &rng,
 
 /** One-class Poisson arrivals into an 8-server FCFS pool. */
 void
-runEngineOneClass(benchmark::State &state, queueing::EventQueueKind kind)
+BM_EngineOneClassPoisson(benchmark::State &state)
 {
     using namespace queueing;
-    EventEngine engine(8, kind);
+    EventEngine engine(8);
     for (auto _ : state) {
         Rng rng(42, 0xbe7c);
         PoissonArrivals arrivals(oneClassRate);
@@ -166,54 +162,7 @@ runEngineOneClass(benchmark::State &state, queueing::EventQueueKind kind)
     }
     state.SetItemsProcessed(state.iterations() * engineRequests);
 }
-
-void
-BM_EngineOneClassPoisson(benchmark::State &state)
-{
-    runEngineOneClass(state, queueing::EventQueueKind::Calendar);
-}
 BENCHMARK(BM_EngineOneClassPoisson);
-
-/** The heap reference on the same workload: the trajectory shows the
- *  calendar-vs-heap ratio over time. */
-void
-BM_EngineHeapOneClassPoisson(benchmark::State &state)
-{
-    runEngineOneClass(state, queueing::EventQueueKind::Heap);
-}
-BENCHMARK(BM_EngineHeapOneClassPoisson);
-
-/** The same workload through the type-erased `Callbacks` adapter: the
- *  trajectory shows what devirtualizing the run loop is worth. */
-void
-BM_EngineErasedOneClassPoisson(benchmark::State &state)
-{
-    using namespace queueing;
-    EventEngine engine(8);
-    for (auto _ : state) {
-        Rng rng(42, 0xbe7c);
-        PoissonArrivals arrivals(oneClassRate);
-        std::uint64_t completed = 0;
-        auto policy = makeOneClassPolicy(engine, rng, arrivals, completed);
-        // Wrap the shared typed policy in std::function hooks so both
-        // paths run the identical workload definition.
-        EventEngine::Callbacks cb;
-        cb.rateHintPerMs = oneClassRate;
-        cb.nextGap = [&] { return policy.nextArrival().gapMs; };
-        cb.nextDemand = [&](std::uint32_t c) { return policy.nextDemand(c); };
-        cb.place = [&](double now, double d, std::uint32_t c) {
-            return policy.place(now, d, c);
-        };
-        cb.finish = [&](std::size_t s, double start, double d) {
-            return policy.finish(s, start, d);
-        };
-        cb.onComplete = [&](const Completion &c) { policy.onComplete(c); };
-        engine.run(engineRequests, cb);
-        benchmark::DoNotOptimize(completed);
-    }
-    state.SetItemsProcessed(state.iterations() * engineRequests);
-}
-BENCHMARK(BM_EngineErasedOneClassPoisson);
 
 /** Eight superposed per-class streams (mixed Poisson/MMPP) through the
  *  tournament-tree merge. */

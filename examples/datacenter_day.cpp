@@ -84,7 +84,7 @@ main(int argc, char **argv)
                 trace.name().c_str(),
                 static_cast<unsigned long long>(lowered.requests),
                 ms_per_hour, lowered.arrivalRatePerMs,
-                lowered.modeControl.monitor.qosTarget);
+                lowered.control.monitor.qosTarget);
     std::printf("%5s %6s %-22s %8s %9s %9s %10s\n", "hour", "load", "",
                 "reqs", "p50", "p99", "throttled");
     for (std::size_t b = 0; b < d.timeline.size() && b < 24; ++b) {
@@ -122,7 +122,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\nQoS:   p99 %.2f ms (target %.2f ms), p99.9 %.2f ms\n",
-                d.latencyMs.p99, lowered.modeControl.monitor.qosTarget,
+                d.latencyMs.p99, lowered.control.monitor.qosTarget,
                 d.latencyMs.p999);
     std::printf("Batch: %.3f UIPC at baseline, %.3f effective after mode "
                 "residency + throttling (%+.1f%%)\n",

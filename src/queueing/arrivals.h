@@ -289,8 +289,8 @@ class ClassArrivalSuperposition
 
     /** Next merged arrival: gap since the previous merged arrival plus
      *  the winning class's id — exactly the engine's joint-draw type,
-     *  so the instance plugs straight into
-     *  `EventEngine::Callbacks::nextArrival`. */
+     *  so the instance plugs straight into a policy's `nextArrival`
+     *  hook. */
     EventEngine::Arrival
     next()
     {

@@ -13,8 +13,7 @@ namespace
 constexpr double inf = std::numeric_limits<double>::infinity();
 } // namespace
 
-EventEngine::EventEngine(std::size_t servers, EventQueueKind kind)
-    : srv(servers), kind(kind)
+EventEngine::EventEngine(std::size_t servers) : srv(servers)
 {
     STRETCH_ASSERT(servers > 0, "engine needs at least one server");
 }
@@ -151,15 +150,6 @@ EventEngine::CalendarQueue::rebucket(std::size_t nbuckets,
 }
 
 // ---------------------------------------------------------------------------
-// Queue-kind dispatch
-
-bool
-EventEngine::pendingEmpty() const
-{
-    return kind == EventQueueKind::Calendar ? calendar.empty() : heap.empty();
-}
-
-// ---------------------------------------------------------------------------
 // Server-state queries
 
 std::size_t
@@ -192,99 +182,8 @@ EventEngine::beginRun(double quantum_ms, double rate_hint_per_ms)
     srv.assign(srv.size(), ServerState{});
     arena.clear();
     calendar.reset(rate_hint_per_ms > 0.0 ? 1.0 / rate_hint_per_ms : 1.0);
-    heap.clear();
     elapsed = 0.0;
     nextBoundary = quantum_ms;
-}
-
-namespace
-{
-
-/**
- * Adapter policy carrying the type-erased `Callbacks` through the
- * templated run loop: the runtime arrival-source choice and the
- * presence checks on the optional hooks live here, so the erased path
- * behaves exactly as it always has — just on the shared loop.
- */
-struct ErasedPolicy
-{
-    const EventEngine::Callbacks &cb;
-
-    EventEngine::Arrival
-    nextArrival()
-    {
-        if (cb.nextArrival) {
-            // Superposed per-class streams: the winning class's process
-            // fixes the gap and the tag jointly.
-            return cb.nextArrival();
-        }
-        EventEngine::Arrival a;
-        a.gapMs = cb.nextGap();
-        a.classId = cb.nextClass ? cb.nextClass() : 0;
-        return a;
-    }
-    double nextDemand(std::uint32_t cls) { return cb.nextDemand(cls); }
-    std::size_t
-    place(double now, double demand, std::uint32_t cls)
-    {
-        return cb.place(now, demand, cls);
-    }
-    double
-    finish(std::size_t server, double start, double demand)
-    {
-        return cb.finish(server, start, demand);
-    }
-    void
-    onComplete(const Completion &c)
-    {
-        if (cb.onComplete)
-            cb.onComplete(c);
-    }
-    void
-    onShed(std::uint64_t index, double now, double demand, std::uint32_t cls)
-    {
-        if (cb.onShed)
-            cb.onShed(index, now, demand, cls);
-    }
-    void
-    onQuantum(double boundaryMs)
-    {
-        if (cb.onQuantum)
-            cb.onQuantum(boundaryMs);
-    }
-    double
-    nextControlMs()
-    {
-        return cb.nextControl ? cb.nextControl() : inf;
-    }
-    void
-    onControl(double timeMs)
-    {
-        cb.onControl(timeMs);
-    }
-    double quantumMs() const { return cb.quantumMs; }
-    double rateHintPerMs() const { return cb.rateHintPerMs; }
-};
-
-} // namespace
-
-void
-EventEngine::run(std::uint64_t requests, const Callbacks &cb)
-{
-    STRETCH_ASSERT(cb.nextDemand && cb.place && cb.finish,
-                   "engine callbacks nextDemand/place/finish are required");
-    STRETCH_ASSERT(static_cast<bool>(cb.nextGap) !=
-                       static_cast<bool>(cb.nextArrival),
-                   "set exactly one arrival source: nextGap or the joint "
-                   "nextArrival");
-    STRETCH_ASSERT(!(cb.nextArrival && cb.nextClass),
-                   "nextArrival already carries the class tag; nextClass "
-                   "must be empty");
-    STRETCH_ASSERT(static_cast<bool>(cb.nextControl) ==
-                       static_cast<bool>(cb.onControl),
-                   "the scheduled-event channel needs both nextControl and "
-                   "onControl, or neither");
-    run(requests, ErasedPolicy{cb});
 }
 
 } // namespace stretch::queueing

@@ -11,45 +11,37 @@
  * react at quantum boundaries (e.g. dynamic Stretch mode control) only
  * ever see telemetry from the simulated past.
  *
- * Callers supply the stochastic pieces (interarrival gaps — either one
- * stream or the joint gap+class draw of a per-class superposition — and
- * service demands), the placement decision, and the
+ * Callers supply the stochastic pieces (the joint interarrival gap and
+ * class tag of each arrival — one stream or a per-class superposition —
+ * and service demands), the placement decision, and the
  * demand-to-finish-time model (service rate scaling, duty-cycle
- * modulation) as callbacks.
+ * modulation) as the hooks of a policy built with `makePolicy`.
  *
  * Units: every time value crossing this interface — gaps, finish times,
  * backlogs, capacity charges, quantum boundaries, `elapsedMs()` — is in
  * milliseconds of simulated time; demands are in whatever unit the
- * caller's `finish` callback converts to milliseconds (the fleet
- * dispatcher uses mean-request units divided by a requests/ms rate).
+ * caller's `finish` hook converts to milliseconds (the fleet dispatcher
+ * uses mean-request units divided by a requests/ms rate).
  *
  * Threading and determinism: the engine is strictly single-threaded and
  * carries no clock or RNG of its own; a run is fully determined by the
- * callbacks' RNG streams, and callbacks are invoked in a deterministic
- * total order (completions and boundaries in time order, completions
- * first on ties, arrival index breaking completion ties). Instances are
- * not thread-safe; use one engine per thread.
+ * policy's RNG streams, and hooks are invoked in a deterministic total
+ * order (completions and boundaries in time order, completions first on
+ * ties, arrival index breaking completion ties). Instances are not
+ * thread-safe; use one engine per thread.
  *
  * Event-queue internals: pending completions live in an index-recycling
  * arena (structure-of-arrays, so the drain loop only touches the finish
- * time and arrival index it compares on) behind one of two orderings —
- * an adaptive calendar queue (the default; O(1) amortised push/pop,
- * bucket width seeded from `Callbacks::rateHintPerMs`) or a binary heap
- * kept as the reference implementation for equivalence tests. Both
- * deliver the exact same total order (finish time ascending, arrival
- * index breaking ties), so the choice can never change a simulated
- * result — see tests/test_event_queue.cc.
+ * time and arrival index it compares on) behind an adaptive calendar
+ * queue (O(1) amortised push/pop, bucket width seeded from the policy's
+ * `rateHintPerMs`). Its pop order is exact — finish time ascending,
+ * arrival index breaking ties — whatever the bucket layout, so the queue
+ * can never change a simulated result; tests/test_event_queue.cc replays
+ * randomized runs against a reference ordering to check it.
  *
- * Callback dispatch: the run loop is a template over a statically-typed
- * policy (`run(requests, Policy&&)`), so a caller whose policy carries
- * concrete lambda types pays zero type-erasure — every hook inlines into
- * the loop. The `std::function`-based `Callbacks` struct remains as the
- * erased front door: `run(requests, const Callbacks&)` wraps it in an
- * adapter policy and drives the same templated loop, so both paths are
- * one code path and produce bit-identical results (property-tested in
- * tests/test_event_queue.cc). Hot callers (`sim::dispatchRequests`,
- * `queueing::simulateService`, the engine benches) build typed policies
- * via `makePolicy`.
+ * Hook dispatch: the run loop is a template over a statically-typed
+ * policy (`run(requests, Policy&&)`), so a policy carrying concrete
+ * lambda types pays zero type-erasure — every hook inlines into the loop.
  */
 
 #ifndef STRETCH_QUEUEING_EVENT_ENGINE_H
@@ -57,9 +49,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,20 +71,13 @@ struct Completion
 {
     std::uint64_t index = 0;  ///< arrival sequence number
     std::size_t server = 0;   ///< server that executed the request
-    std::uint32_t classId = 0; ///< arrival tag (see Callbacks::nextClass)
+    std::uint32_t classId = 0; ///< arrival tag (see EventEngine::Arrival)
     double arrivalMs = 0.0;
     double startMs = 0.0;
     double finishMs = 0.0;
 
     /** Request sojourn time (queueing wait + service). */
     double latencyMs() const { return finishMs - arrivalMs; }
-};
-
-/** Which ordering structure backs the pending-event set. */
-enum class EventQueueKind
-{
-    Calendar, ///< adaptive calendar queue (default; O(1) amortised)
-    Heap,     ///< binary heap — reference implementation for tests
 };
 
 /**
@@ -117,96 +100,20 @@ enum class EventQueueKind
 class EventEngine
 {
   public:
-    /** One merged arrival from a superposed multi-class stream (see
-     *  Callbacks::nextArrival). */
+    /** One arrival: the gap since the previous one and its class tag,
+     *  drawn jointly (in a superposed per-class stream, the class whose
+     *  process wins the next-arrival race fixes both). */
     struct Arrival
     {
         double gapMs = 0.0;     ///< gap since the previous arrival (ms)
         std::uint32_t classId = 0; ///< class whose process won the slot
     };
 
-    /** The caller-supplied model. Arrivals come from either nextGap
-     *  (+ optional nextClass) or the joint nextArrival — exactly one of
-     *  nextGap/nextArrival must be set; nextDemand/place/finish are
-     *  always required; the rest are optional. */
-    struct Callbacks
-    {
-        /** Next interarrival gap in milliseconds. */
-        std::function<double()> nextGap;
-        /**
-         * Joint draw of the next gap AND class tag — the superposition
-         * of per-class arrival processes, where the class winning the
-         * next-arrival competition determines both (e.g. a
-         * `ClassArrivalSuperposition`). Mutually exclusive with
-         * nextGap/nextClass: set exactly one arrival source.
-         */
-        std::function<Arrival()> nextArrival;
-        /**
-         * Service-class tag of the next request (drawn after the gap,
-         * before the demand, so demand models may condition on the
-         * class). Optional: requests are tagged class 0 without it.
-         */
-        std::function<std::uint32_t()> nextClass;
-        /** Raw service demand of the next request of class @p cls (drawn
-         *  after the gap and class, before placement, so every policy
-         *  sees one request stream). */
-        std::function<double(std::uint32_t cls)> nextDemand;
-        /** Choose the serving server for a request of class @p cls
-         *  arriving at @p now, or return `EventEngine::shed` to drop it
-         *  at admission (no booking, no completion). */
-        std::function<std::size_t(double now, double demand,
-                                  std::uint32_t cls)>
-            place;
-        /** Completion time of @p demand starting at @p start on @p server
-         *  (applies service rates and/or duty-cycle modulation). */
-        std::function<double(std::size_t server, double start, double demand)>
-            finish;
-        /** Invoked for every finished request, in finish-time order. */
-        std::function<void(const Completion &)> onComplete;
-        /** Invoked for every request the placement callback shed. */
-        std::function<void(std::uint64_t index, double now, double demand,
-                           std::uint32_t cls)>
-            onShed;
-        /** Invoked at every elapsed multiple of quantumMs (mode control). */
-        std::function<void(double boundaryMs)> onQuantum;
-        /**
-         * Timestamp (ms) of the next scheduled control event, or
-         * +infinity when none is pending — the engine's scheduled-event
-         * channel (mid-run incidents, planned reconfigurations). Paired
-         * with onControl: set both or neither. An always-infinite source
-         * is bit-identical to leaving the channel empty.
-         */
-        std::function<double()> nextControl;
-        /**
-         * Fire the scheduled control event at exactly @p timeMs. Runs in
-         * simulated-time order with completions and quantum boundaries
-         * (completions first on ties, control before the quantum boundary
-         * it coincides with). MUST advance nextControl past @p timeMs, or
-         * the drain loop cannot make progress.
-         */
-        std::function<void(double timeMs)> onControl;
-        /** Control-quantum length; 0 disables onQuantum entirely. */
-        double quantumMs = 0.0;
-        /**
-         * Expected arrival rate (requests/ms), purely a sizing hint: it
-         * seeds the calendar queue's initial bucket width at the mean
-         * interarrival gap. 0 means unknown. The hint can never change a
-         * result — only how fast the queue reaches its adapted shape.
-         */
-        double rateHintPerMs = 0.0;
-    };
-
-    /** Sentinel the place callback returns to shed (drop) a request at
+    /** Sentinel the place hook returns to shed (drop) a request at
      *  admission instead of booking it on a server. */
     static constexpr std::size_t shed = static_cast<std::size_t>(-1);
 
-    explicit EventEngine(std::size_t servers,
-                         EventQueueKind kind = EventQueueKind::Calendar);
-
-    /** Generate and serve @p requests arrivals, then drain all events
-     *  (the type-erased front door: adapts @p cb onto the templated
-     *  loop, so erased and typed runs are the same code path). */
-    void run(std::uint64_t requests, const Callbacks &cb);
+    explicit EventEngine(std::size_t servers);
 
     /**
      * Statically-typed run loop: generate and serve @p requests arrivals
@@ -229,13 +136,19 @@ class EventEngine
      *   double rateHintPerMs() const;            // 0 = unknown
      *
      * Single-stream sources return `{gap, 0}` (or `{gap, class}`) from
-     * nextArrival — the engine no longer distinguishes the two arrival
-     * shapes at run time. Build one with `makePolicy`, which fills the
-     * optional hooks with no-op functors the optimiser deletes.
+     * nextArrival. Build one with `makePolicy`, which fills the optional
+     * hooks with no-op functors the optimiser deletes.
      *
-     * The event order, tie-breaking, and every callback's invocation
-     * sequence are identical to the `Callbacks` path: the erased run()
-     * is implemented on this template (see tests/test_event_queue.cc).
+     * Hook semantics: nextArrival draws before nextDemand, and both
+     * before placement, so every placement policy sees one request
+     * stream. place may return `shed` to drop the request at admission
+     * (no booking, no completion; onShed fires instead). onComplete
+     * fires in finish-time order. onControl fires the scheduled control
+     * event at exactly nextControlMs(), in time order with completions
+     * and boundaries (completions first on ties, control before a
+     * coinciding boundary), and must advance nextControlMs past it or
+     * the drain loop cannot make progress. An always-infinite
+     * nextControlMs is bit-identical to no control channel.
      *
      * Observability wrappers (e.g. `obs::TracedPolicy`) rely on two
      * guarantees of this loop that are part of the policy contract:
@@ -247,9 +160,7 @@ class EventEngine
      * without consuming RNG draws or perturbing any event time — which
      * is what makes traced runs bit-identical to untraced ones.
      */
-    template <class Policy,
-              class = std::enable_if_t<!std::is_same<
-                  std::decay_t<Policy>, Callbacks>::value>>
+    template <class Policy>
     void
     run(std::uint64_t requests, Policy &&policy)
     {
@@ -287,16 +198,14 @@ class EventEngine
             srv[s].busyMs += finish - start;
             ++srv[s].placed;
             elapsed = std::max(elapsed, finish);
-            pushPending(arena.alloc(finish, i, s, a.classId, now, start));
+            calendar.push(arena.alloc(finish, i, s, a.classId, now, start),
+                          arena);
         }
         drainUntil(elapsed, quantum, p);
     }
 
-    /** Per-server states (valid during callbacks and after run()). */
+    /** Per-server states (valid during hooks and after run()). */
     const std::vector<ServerState> &servers() const { return srv; }
-
-    /** Number of servers. */
-    std::size_t serverCount() const { return srv.size(); }
 
     /** Server whose queue drains earliest (ties to the lowest index);
      *  placing every request here reproduces a central FCFS queue over
@@ -326,17 +235,14 @@ class EventEngine
     /** Latest completion time seen so far (the makespan after run()). */
     double elapsedMs() const { return elapsed; }
 
-    /** Which ordering structure this engine was built with. */
-    EventQueueKind queueKind() const { return kind; }
-
   private:
     /** Slot id into the pending-event arena. */
     using Slot = std::uint32_t;
 
     /**
      * Index-recycling arena for pending completions, structure-of-arrays:
-     * the ordering structures compare only (finishMs, index), so those
-     * two live in their own hot arrays and the fields needed solely to
+     * the calendar queue compares only (finishMs, index), so those two
+     * live in their own hot arrays and the fields needed solely to
      * build the `Completion` stay out of the comparison cache lines.
      */
     struct PendingArena
@@ -414,7 +320,6 @@ class EventEngine
         static constexpr double minWidth = 1e-9;
 
         void reset(double width_ms);
-        bool empty() const { return count == 0; }
 
         // The steady-state push/peek/pop cycle is defined inline: these
         // run once per simulated event from the templated run loop, and
@@ -506,13 +411,13 @@ class EventEngine
     {
         constexpr double inf = std::numeric_limits<double>::infinity();
         for (;;) {
-            const double tc = peekPendingTimeMs();
+            const double tc = calendar.peekTimeMs(arena);
             const double tq = quantum > 0.0 ? nextBoundary : inf;
             const double tx = p.nextControlMs();
             // Completions first on ties: a request finishing exactly on a
             // boundary belongs to the window the boundary closes.
             if (tc <= tq && tc <= tx && tc <= t) {
-                const Slot c = popPending();
+                const Slot c = calendar.pop(arena);
                 Completion done;
                 done.index = arena.index[c];
                 done.server = arena.server[c];
@@ -542,63 +447,16 @@ class EventEngine
         }
     }
 
-    // Queue-kind dispatch, inline for the same reason as the calendar
-    // fast path: one well-predicted branch per event beats a call.
-
-    void
-    pushPending(Slot s)
-    {
-        if (kind == EventQueueKind::Calendar) {
-            calendar.push(s, arena);
-            return;
-        }
-        heap.push_back(s);
-        std::push_heap(heap.begin(), heap.end(), [this](Slot x, Slot y) {
-            if (arena.finishMs[x] != arena.finishMs[y])
-                return arena.finishMs[x] > arena.finishMs[y];
-            return arena.index[x] > arena.index[y];
-        });
-    }
-
-    Slot
-    popPending()
-    {
-        if (kind == EventQueueKind::Calendar)
-            return calendar.pop(arena);
-        std::pop_heap(heap.begin(), heap.end(), [this](Slot x, Slot y) {
-            if (arena.finishMs[x] != arena.finishMs[y])
-                return arena.finishMs[x] > arena.finishMs[y];
-            return arena.index[x] > arena.index[y];
-        });
-        Slot s = heap.back();
-        heap.pop_back();
-        return s;
-    }
-
-    double
-    peekPendingTimeMs()
-    {
-        if (kind == EventQueueKind::Calendar)
-            return calendar.peekTimeMs(arena);
-        return heap.empty() ? std::numeric_limits<double>::infinity()
-                            : arena.finishMs[heap.front()];
-    }
-
-    bool pendingEmpty() const;
-
     std::vector<ServerState> srv;
-    EventQueueKind kind;
     PendingArena arena;
     CalendarQueue calendar;
-    std::vector<Slot> heap; ///< EventQueueKind::Heap: min-heap of slots
     double elapsed = 0.0;
     double nextBoundary = 0.0;
 };
 
 /// @name No-op policy hooks
 /// Empty functors standing in for unused optional hooks in `makePolicy`;
-/// calls to them compile away entirely (the typed-loop analogue of
-/// leaving a `Callbacks` std::function empty).
+/// calls to them compile away entirely.
 /// @{
 struct NoopComplete
 {
@@ -627,10 +485,9 @@ struct NoopControlFire
 /// @}
 
 /**
- * Statically-typed callbacks policy for `EventEngine::run(requests,
- * Policy&&)`: each hook is stored with its concrete (usually lambda)
- * type, so the engine's templated loop inlines every per-event call
- * instead of paying a `std::function` indirection. Construct via
+ * Statically-typed policy for `EventEngine::run(requests, Policy&&)`:
+ * each hook is stored with its concrete (usually lambda) type, so the
+ * engine's templated loop inlines every per-event call. Construct via
  * `makePolicy` — the member order is an implementation detail.
  */
 template <class ArrivalFn, class DemandFn, class PlaceFn, class FinishFn,
@@ -677,8 +534,7 @@ struct EnginePolicy
 };
 
 /**
- * Build a statically-typed engine policy from concrete callables (the
- * typed twin of filling in a `Callbacks`).
+ * Build a statically-typed engine policy from concrete callables.
  *
  * @param arrival joint gap+class draw; single-stream sources return
  *        `{gap, 0}` (or `{gap, class}` after their own class draw).
@@ -691,8 +547,8 @@ struct EnginePolicy
  * @param rate_hint_per_ms calendar-queue sizing hint (0 = unknown).
  * @param control_next / control_fire optional scheduled-event channel
  *        (next pending control timestamp and the action firing it; see
- *        `Callbacks::nextControl`/`onControl`). The default source is
- *        always +infinity, which is bit-identical to no channel at all.
+ *        `EventEngine::run`). The default source is always +infinity,
+ *        which is bit-identical to no channel at all.
  */
 template <class ArrivalFn, class DemandFn, class PlaceFn, class FinishFn,
           class CompleteFn = NoopComplete, class ShedFn = NoopShed,

@@ -685,7 +685,7 @@ lowerQuiet(const Scenario &s)
     fleet.classes = s.classes;
     fleet.perClassArrivals = s.perClassArrivals;
     fleet.classRouting = s.classRouting;
-    fleet.modeControl = s.control;
+    fleet.control = s.control;
     fleet.reuseOperatingPoints = s.reuseOperatingPoints;
     fleet.threads = s.threads;
 
@@ -720,7 +720,7 @@ lowerQuiet(const Scenario &s)
     }
 
     if (s.qosTargetFactor > 0.0)
-        fleet.modeControl.monitor.qosTarget = s.qosTargetFactor * cal.p99Ms;
+        fleet.control.monitor.qosTarget = s.qosTargetFactor * cal.p99Ms;
 
     if (s.dayRequests) {
         STRETCH_ASSERT(s.trace, "day-sized stream without a diurnal trace");
@@ -746,7 +746,7 @@ lower(const Scenario &s)
         // against the calibration probe), so compile against a copy
         // carrying the resolved monitor config.
         Scenario resolved = s;
-        resolved.control.monitor = fleet.modeControl.monitor;
+        resolved.control.monitor = fleet.control.monitor;
         fleet.incidents = compileIncidents(resolved);
     }
     return fleet;

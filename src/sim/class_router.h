@@ -107,7 +107,7 @@ class ClassRouter
      * is blown. @p rate_per_ms is each core's *current* effective rate
      * (mode and throttle applied), @p engine supplies the backlogs.
      * Stateless per request; shed accounting is the caller's (the
-     * dispatcher counts per class via `Callbacks::onShed`).
+     * dispatcher counts per class in its policy's `onShed` hook).
      */
     std::size_t route(workloads::ClassId cls, double now, double demand,
                       const queueing::EventEngine &engine,

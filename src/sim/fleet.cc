@@ -456,7 +456,7 @@ dispatchRequests(const DispatchConfig &cfg)
     std::vector<std::uint64_t> classGood(numClasses, 0);
     std::vector<std::uint64_t> classShed(numClasses, 0);
 
-    queueing::EventEngine engine(n, cfg.queueKind);
+    queueing::EventEngine engine(n);
     stats::TailRecorder latencies(exact);
     latencies.reserve(requests);
     std::size_t rr_next = 0; // round-robin cursor over serving cores
@@ -1052,7 +1052,7 @@ runFleet(const FleetConfig &cfg)
     STRETCH_ASSERT(cfg.slots.empty() || cfg.slots.size() == n,
                    "slots must be empty or index-matched to cores");
 
-    const ModeControlConfig &mc = cfg.modeControl;
+    const ModeControlConfig &mc = cfg.control;
     const bool dynamic = mc.kind != ModePolicyKind::Static ||
                          mc.staticMode != StretchMode::Baseline;
     // The throttled operating point is only worth simulating when the
@@ -1197,16 +1197,8 @@ runFleet(const FleetConfig &cfg)
     fleet.batchUipc = stats::summarize(batch_uipc);
 
     DispatchConfig dispatch;
-    static_cast<TrafficSpec &>(dispatch) = cfg;
+    static_cast<DispatchSpec &>(dispatch) = cfg;
     dispatch.rates = fleet.modeRates;
-    dispatch.policy = cfg.policy;
-    dispatch.classRouting = cfg.classRouting;
-    dispatch.incidents = cfg.incidents;
-    dispatch.control = cfg.modeControl;
-    dispatch.tracer = cfg.tracer;
-    dispatch.metrics = cfg.metrics;
-    dispatch.injected = cfg.injected;
-    dispatch.keepRecorders = cfg.keepRecorders;
     fleet.dispatch = dispatchRequests(dispatch);
 
     // Close the loop's throughput accounting: weight each core's batch

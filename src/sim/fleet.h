@@ -296,17 +296,13 @@ struct InjectedArrival
 };
 
 /**
- * Full description of a request-dispatch experiment over fixed cores: the
- * drawn traffic (TrafficSpec) plus the cores, placement, incidents and
- * control loop that serve it.
+ * How a request stream is served: the drawn traffic (TrafficSpec) plus
+ * the placement, incidents, control loop and taps. DispatchConfig and
+ * FleetConfig share it, so runFleet hands it to the dispatcher in one
+ * assignment.
  */
-struct DispatchConfig : TrafficSpec
+struct DispatchSpec : TrafficSpec
 {
-    /** Per-mode service rates per core; a core with baseline == 0 cannot
-     *  serve (e.g. an idle LS thread). The default offered rate is 70%
-     *  of the summed baseline rates (TrafficSpec::offeredRatePerMs). */
-    std::vector<ModeRates> rates;
-
     PlacementPolicy policy = PlacementPolicy::RoundRobin;
 
     /** Routing/admission knobs for PlacementPolicy::ClassAware. */
@@ -322,11 +318,12 @@ struct DispatchConfig : TrafficSpec
      */
     std::vector<IncidentAction> incidents;
 
-    /** Event-queue backing for the dispatch engine. Both kinds deliver
-     *  the exact same event order (see queueing::EventQueueKind); the
-     *  knob exists for equivalence tests. */
-    queueing::EventQueueKind queueKind = queueing::EventQueueKind::Calendar;
-
+    /**
+     * Per-core dynamic Stretch mode control. In a fleet run, any
+     * non-Static policy (or a non-Baseline static mode) makes runFleet
+     * measure each core's LS capacity under all three operating points,
+     * so the dispatcher can retime requests as the mode register flips.
+     */
     ModeControlConfig control;
 
     /// @name Observability taps (non-owning; both optional).
@@ -361,6 +358,16 @@ struct DispatchConfig : TrafficSpec
      * quantiles from the folded summaries.
      */
     bool keepRecorders = false;
+};
+
+/** Full description of a request-dispatch experiment over fixed cores:
+ *  the dispatch spec plus each core's per-mode service rates. */
+struct DispatchConfig : DispatchSpec
+{
+    /** Per-mode service rates per core; a core with baseline == 0 cannot
+     *  serve (e.g. an idle LS thread). The default offered rate is 70%
+     *  of the summed baseline rates (TrafficSpec::offeredRatePerMs). */
+    std::vector<ModeRates> rates;
 };
 
 /** Latency/throughput summary of one timeline bucket (see
@@ -494,9 +501,9 @@ struct CoreSlot
     SkewConfig qmodeSkew{0, 0};
 };
 
-/** Full description of a fleet experiment: the traffic (TrafficSpec,
- *  handed to the dispatcher) plus the cores that serve it. */
-struct FleetConfig : TrafficSpec
+/** Full description of a fleet experiment: the dispatch spec (handed
+ *  to the dispatcher) plus the cores that serve it. */
+struct FleetConfig : DispatchSpec
 {
     /** One entry per SMT core; each is a complete colocation pair. */
     std::vector<RunConfig> cores;
@@ -509,25 +516,8 @@ struct FleetConfig : TrafficSpec
      */
     std::vector<CoreSlot> slots;
 
-    PlacementPolicy policy = PlacementPolicy::RoundRobin;
-
     /** Mean latency-sensitive request length in committed instructions. */
     double opsPerRequest = 500000.0;
-
-    /** Routing/admission knobs for PlacementPolicy::ClassAware. */
-    ClassRouterConfig classRouting;
-
-    /** Scheduled mid-run incidents handed to the dispatcher (see
-     *  DispatchConfig::incidents). */
-    std::vector<IncidentAction> incidents;
-
-    /**
-     * Per-core dynamic Stretch mode control. Any non-Static policy (or a
-     * non-Baseline static mode) makes runFleet measure each core's LS
-     * capacity under all three operating points, so the dispatcher can
-     * retime requests as the mode register flips.
-     */
-    ModeControlConfig modeControl;
 
     /**
      * Memoise operating-point measurements in the process-wide
@@ -540,21 +530,6 @@ struct FleetConfig : TrafficSpec
 
     /** Pool workers for per-core simulations: 1 = serial, 0 = hardware. */
     unsigned threads = 0;
-
-    /// @name Observability taps, forwarded to the dispatcher untouched
-    /// (see DispatchConfig; non-owning, both optional).
-    /// @{
-    obs::EngineTracer *tracer = nullptr;
-    obs::MetricRegistry *metrics = nullptr;
-    /// @}
-
-    /** Pre-steered arrival stream, forwarded to the dispatcher (see
-     *  DispatchConfig::injected; non-owning, optional). */
-    const std::vector<InjectedArrival> *injected = nullptr;
-
-    /** Keep raw latency recorders in the dispatch outcome (see
-     *  DispatchConfig::keepRecorders). */
-    bool keepRecorders = false;
 };
 
 /**

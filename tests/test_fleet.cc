@@ -588,9 +588,9 @@ TEST(FleetDiurnal, ReplayWithThrottlingIsBitIdenticalAcrossThreads)
     fleet.msPerHour = 15.0;
     fleet.timelineBucketMs = 15.0;
     fleet.requests = 3000;
-    fleet.modeControl.kind = ModePolicyKind::SlackDriven;
-    fleet.modeControl.quantumMs = 0.5;
-    fleet.modeControl.monitor.qosTarget = 1.0;
+    fleet.control.kind = ModePolicyKind::SlackDriven;
+    fleet.control.quantumMs = 0.5;
+    fleet.control.monitor.qosTarget = 1.0;
 
     FleetConfig serial = fleet;
     serial.threads = 1;
@@ -631,15 +631,15 @@ TEST(FleetThrottle, ClosedLoopSuppressesBatchAndMovesTheTail)
     fleet.policy = PlacementPolicy::LeastLoaded;
     fleet.requests = 8000;
     fleet.threads = 0;
-    fleet.modeControl.kind = ModePolicyKind::SlackDriven;
-    fleet.modeControl.quantumMs = 0.5;
+    fleet.control.kind = ModePolicyKind::SlackDriven;
+    fleet.control.quantumMs = 0.5;
     // Tight sojourn target at the default 70%-of-capacity load: the
     // ladder violates, steps to Q-mode, and orders throttling.
-    fleet.modeControl.monitor.qosTarget = 0.8;
+    fleet.control.monitor.qosTarget = 0.8;
 
     FleetResult throttled = runFleet(fleet);
     FleetConfig never = fleet;
-    never.modeControl.honorThrottle = false;
+    never.control.honorThrottle = false;
     FleetResult baseline = runFleet(never);
 
     // The whole comparison is thread-count independent: a serial rerun
@@ -737,8 +737,8 @@ TEST(FleetHeterogeneous, SlotsShapeMeasuredCapacity)
     fleet.policy = PlacementPolicy::LeastLoaded;
     fleet.requests = 3000;
     fleet.threads = 0;
-    fleet.modeControl.kind = ModePolicyKind::SlackDriven;
-    fleet.modeControl.monitor.qosTarget = 1.0;
+    fleet.control.kind = ModePolicyKind::SlackDriven;
+    fleet.control.monitor.qosTarget = 1.0;
 
     FleetResult r = runFleet(fleet);
 
@@ -761,8 +761,8 @@ TEST(FleetDynamicModes, ClosedLoopIsBitIdenticalSerialVsParallel)
     FleetConfig fleet = homogeneousFleet(3, smallConfig());
     fleet.requests = 4000;
     fleet.policy = PlacementPolicy::LeastLoaded;
-    fleet.modeControl.kind = ModePolicyKind::BacklogHysteresis;
-    fleet.modeControl.quantumMs = 0.5;
+    fleet.control.kind = ModePolicyKind::BacklogHysteresis;
+    fleet.control.quantumMs = 0.5;
 
     FleetConfig serial = fleet;
     serial.threads = 1;

@@ -26,45 +26,46 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---- Engine: the scheduled-event control channel ----------------------
 
-/** Fixed-gap, fixed-demand callbacks (exact arithmetic). */
-queueing::EventEngine::Callbacks
-fixedTraffic(queueing::EventEngine &engine, double gap, double demand)
+/** Fixed-gap, fixed-demand policy (exact arithmetic); @p hooks fill
+ *  makePolicy's optional trailing arguments. */
+template <class... Hooks>
+auto
+fixedTraffic(queueing::EventEngine &engine, double gap, double demand,
+             Hooks... hooks)
 {
-    queueing::EventEngine::Callbacks cb;
-    cb.nextGap = [gap] { return gap; };
-    cb.nextDemand = [demand](std::uint32_t) { return demand; };
-    cb.place = [&engine](double, double, std::uint32_t) {
-        return engine.leastFreeServer();
-    };
-    cb.finish = [](std::size_t, double start, double d) {
-        return start + d;
-    };
-    return cb;
+    return queueing::makePolicy(
+        [gap] { return queueing::EventEngine::Arrival{gap, 0}; },
+        [demand](std::uint32_t) { return demand; },
+        [&engine](double, double, std::uint32_t) {
+            return engine.leastFreeServer();
+        },
+        [](std::size_t, double start, double d) { return start + d; },
+        hooks...);
 }
 
 TEST(ControlChannel, FiresAtExactTimesBeforeCoincidingQuantum)
 {
     queueing::EventEngine engine(1);
-    // Arrivals at 1..10 ms, 0.4 ms demands, quantum boundaries at 1..10:
-    // all event times are exact, so ordering is observable exactly.
-    queueing::EventEngine::Callbacks cb = fixedTraffic(engine, 1.0, 0.4);
-    cb.quantumMs = 1.0;
-
     std::vector<std::pair<char, double>> log; // 'c'ontrol / 'q'uantum / 'd'one
     std::vector<double> controls = {1.7, 2.0, 2.0, 5.25};
     std::size_t next = 0;
-    cb.nextControl = [&]() -> double {
-        return next < controls.size() ? controls[next] : kInf;
-    };
-    cb.onControl = [&](double t) {
-        log.push_back({'c', t});
-        ++next;
-    };
-    cb.onQuantum = [&](double t) { log.push_back({'q', t}); };
-    cb.onComplete = [&](const queueing::Completion &c) {
-        log.push_back({'d', c.finishMs});
-    };
-    engine.run(10, cb);
+    // Arrivals at 1..10 ms, 0.4 ms demands, quantum boundaries at 1..10:
+    // all event times are exact, so ordering is observable exactly.
+    auto policy = fixedTraffic(
+        engine, 1.0, 0.4,
+        [&](const queueing::Completion &c) {
+            log.push_back({'d', c.finishMs});
+        },
+        queueing::NoopShed{}, [&](double t) { log.push_back({'q', t}); },
+        1.0, 0.0,
+        [&]() -> double {
+            return next < controls.size() ? controls[next] : kInf;
+        },
+        [&](double t) {
+            log.push_back({'c', t});
+            ++next;
+        });
+    engine.run(10, policy);
 
     // Event times never regress, and control events land at their exact
     // scheduled instants.
@@ -90,43 +91,37 @@ TEST(ControlChannel, FiresAtExactTimesBeforeCoincidingQuantum)
 
 TEST(ControlChannel, AlwaysInfiniteChannelIsBitIdenticalToNone)
 {
-    auto replay = [](bool with_channel) {
+    auto replay = [](auto next_control, auto on_control) {
         queueing::EventEngine engine(2);
         Rng rng(99, 0x1abe1);
-        queueing::EventEngine::Callbacks cb;
-        cb.nextGap = [&] { return rng.exponential(0.4); };
-        cb.nextDemand = [&](std::uint32_t) { return rng.exponential(1.0); };
-        cb.place = [&](double, double, std::uint32_t) {
-            return engine.leastFreeServer();
-        };
-        cb.finish = [](std::size_t, double s, double d) { return s + d; };
-        cb.quantumMs = 0.5;
-        if (with_channel) {
-            cb.nextControl = [] { return kInf; };
-            cb.onControl = [](double) { FAIL() << "empty channel fired"; };
-        }
         std::vector<double> finishes;
-        cb.onComplete = [&](const queueing::Completion &c) {
-            finishes.push_back(c.finishMs);
-        };
-        engine.run(4000, cb);
+        auto policy = queueing::makePolicy(
+            [&] {
+                return queueing::EventEngine::Arrival{rng.exponential(0.4),
+                                                      0};
+            },
+            [&](std::uint32_t) { return rng.exponential(1.0); },
+            [&](double, double, std::uint32_t) {
+                return engine.leastFreeServer();
+            },
+            [](std::size_t, double s, double d) { return s + d; },
+            [&](const queueing::Completion &c) {
+                finishes.push_back(c.finishMs);
+            },
+            queueing::NoopShed{}, queueing::NoopQuantum{}, 0.5, 0.0,
+            next_control, on_control);
+        engine.run(4000, policy);
         return finishes;
     };
-    EXPECT_EQ(replay(false), replay(true));
-}
-
-TEST(ControlChannelDeath, HalfConfiguredChannelDies)
-{
-    queueing::EventEngine engine(1);
-    queueing::EventEngine::Callbacks cb = fixedTraffic(engine, 1.0, 0.4);
-    cb.nextControl = [] { return kInf; }; // no onControl
-    EXPECT_DEATH(engine.run(5, cb), "both nextControl and onControl");
+    EXPECT_EQ(replay(queueing::NoopControlNext{}, queueing::NoopControlFire{}),
+              replay([] { return kInf; },
+                     [](double) { FAIL() << "empty channel fired"; }));
 }
 
 // ---- Dispatcher: neutral incidents are bit-identical ------------------
 
 sim::DispatchConfig
-dispatchBase(std::uint64_t seed, queueing::EventQueueKind kind)
+dispatchBase(std::uint64_t seed)
 {
     sim::DispatchConfig cfg;
     cfg.rates = {sim::ModeRates{2.0, 1.7, 2.4}, sim::ModeRates{2.0, 1.7, 2.4},
@@ -134,7 +129,6 @@ dispatchBase(std::uint64_t seed, queueing::EventQueueKind kind)
     cfg.policy = sim::PlacementPolicy::LeastLoaded;
     cfg.requests = 5000;
     cfg.seed = seed;
-    cfg.queueKind = kind;
     cfg.control.kind = sim::ModePolicyKind::BacklogHysteresis;
     cfg.control.quantumMs = 0.5;
     cfg.timelineBucketMs = 50.0;
@@ -162,31 +156,26 @@ expectIdentical(const sim::DispatchOutcome &a, const sim::DispatchOutcome &b)
 TEST(IncidentIdentity, EmptyAndNeutralIncidentListsAreBitIdentical)
 {
     using Kind = sim::IncidentAction::Kind;
-    for (queueing::EventQueueKind kind :
-         {queueing::EventQueueKind::Calendar,
-          queueing::EventQueueKind::Heap}) {
-        for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-            sim::DispatchOutcome quiet =
-                sim::dispatchRequests(dispatchBase(seed, kind));
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        sim::DispatchOutcome quiet = sim::dispatchRequests(dispatchBase(seed));
 
-            // The same run with *neutral* incidents: scale-by-1 actions
-            // exercise the whole control channel (events fire, state is
-            // written) without changing any consumed value.
-            sim::DispatchConfig cfg = dispatchBase(seed, kind);
-            sim::IncidentAction arrival;
-            arrival.kind = Kind::ArrivalScale;
-            arrival.atMs = 120.0;
-            arrival.value = 1.0;
-            sim::IncidentAction rate;
-            rate.kind = Kind::CoreRateScale;
-            rate.atMs = 333.25;
-            rate.value = 1.0;
-            rate.core = 1;
-            cfg.incidents = {arrival, rate};
-            sim::DispatchOutcome neutral = sim::dispatchRequests(cfg);
+        // The same run with *neutral* incidents: scale-by-1 actions
+        // exercise the whole control channel (events fire, state is
+        // written) without changing any consumed value.
+        sim::DispatchConfig cfg = dispatchBase(seed);
+        sim::IncidentAction arrival;
+        arrival.kind = Kind::ArrivalScale;
+        arrival.atMs = 120.0;
+        arrival.value = 1.0;
+        sim::IncidentAction rate;
+        rate.kind = Kind::CoreRateScale;
+        rate.atMs = 333.25;
+        rate.value = 1.0;
+        rate.core = 1;
+        cfg.incidents = {arrival, rate};
+        sim::DispatchOutcome neutral = sim::dispatchRequests(cfg);
 
-            expectIdentical(quiet, neutral);
-        }
+        expectIdentical(quiet, neutral);
     }
 }
 
@@ -222,7 +211,7 @@ stormActions(double from, double to, double tick, double amp,
 sim::DispatchOutcome
 stormRun(double amp)
 {
-    sim::DispatchConfig cfg = dispatchBase(7, queueing::EventQueueKind::Calendar);
+    sim::DispatchConfig cfg = dispatchBase(7);
     cfg.requests = 8000;
     // Lateness bound below the mean service time (0.5 ms at rate 2), so
     // a meaningful fraction of completions count as late and the

@@ -261,7 +261,7 @@ TEST(EngineTracer, WindowSelectsOverlappingEvents)
  *  classes, class-aware routing, the SlackDriven monitor ladder with
  *  throttling, incidents, and the completion timeline. */
 sim::DispatchConfig
-instrumentedBase(std::uint64_t seed, queueing::EventQueueKind kind)
+instrumentedBase(std::uint64_t seed)
 {
     using Kind = sim::IncidentAction::Kind;
     sim::DispatchConfig cfg;
@@ -269,7 +269,6 @@ instrumentedBase(std::uint64_t seed, queueing::EventQueueKind kind)
     cfg.requests = 5000;
     cfg.arrivalRatePerMs = 6.0;
     cfg.seed = seed;
-    cfg.queueKind = kind;
     cfg.classes =
         workloads::ServiceClassRegistry::searchAnalyticsPair(6.0, 75.0);
     cfg.policy = sim::PlacementPolicy::ClassAware;
@@ -335,23 +334,19 @@ expectIdentical(const sim::DispatchOutcome &a, const sim::DispatchOutcome &b)
 
 TEST(TracedDispatch, TracingAndMetricsAreBitIdenticalToBareRuns)
 {
-    for (queueing::EventQueueKind kind :
-         {queueing::EventQueueKind::Calendar,
-          queueing::EventQueueKind::Heap}) {
-        for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-            sim::DispatchOutcome bare =
-                sim::dispatchRequests(instrumentedBase(seed, kind));
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        sim::DispatchOutcome bare =
+            sim::dispatchRequests(instrumentedBase(seed));
 
-            sim::DispatchConfig cfg = instrumentedBase(seed, kind);
-            obs::EngineTracer tracer(cfg.rates.size());
-            obs::MetricRegistry metrics;
-            cfg.tracer = &tracer;
-            cfg.metrics = &metrics;
-            sim::DispatchOutcome traced = sim::dispatchRequests(cfg);
+        sim::DispatchConfig cfg = instrumentedBase(seed);
+        obs::EngineTracer tracer(cfg.rates.size());
+        obs::MetricRegistry metrics;
+        cfg.tracer = &tracer;
+        cfg.metrics = &metrics;
+        sim::DispatchOutcome traced = sim::dispatchRequests(cfg);
 
-            expectIdentical(bare, traced);
-            EXPECT_GT(tracer.events().size(), cfg.requests);
-        }
+        expectIdentical(bare, traced);
+        EXPECT_GT(tracer.events().size(), cfg.requests);
     }
 }
 
@@ -360,8 +355,7 @@ TEST(TracedDispatch, TracingAndMetricsAreBitIdenticalToBareRuns)
 TEST(TracedDispatch, CountersTraceAndOutcomeTalliesAgree)
 {
     using Ph = obs::TraceEvent::Phase;
-    sim::DispatchConfig cfg =
-        instrumentedBase(11, queueing::EventQueueKind::Calendar);
+    sim::DispatchConfig cfg = instrumentedBase(11);
     obs::EngineTracer tr(cfg.rates.size());
     obs::MetricRegistry reg;
     cfg.tracer = &tr;

@@ -84,8 +84,8 @@ TEST(OperatingPointCache, RunFleetSkipsRemeasuringIdenticalSlots)
 
     FleetConfig fleet = homogeneousFleet(2, smallConfig());
     fleet.requests = 500;
-    fleet.modeControl.kind = ModePolicyKind::SlackDriven;
-    fleet.modeControl.monitor.qosTarget = 1.0;
+    fleet.control.kind = ModePolicyKind::SlackDriven;
+    fleet.control.monitor.qosTarget = 1.0;
 
     FleetResult first = runFleet(fleet);
     std::uint64_t misses_after_first = cache.misses();

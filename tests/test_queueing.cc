@@ -224,41 +224,43 @@ TEST(DiurnalArrivalsThinning, EmpiricalHourlyRatesFollowTheTrace)
 
 // ---- The shared discrete-event engine ---------------------------------
 
-/** Fixed-gap, fixed-demand callbacks for exact-arithmetic engine tests. */
-EventEngine::Callbacks
-fixedTraffic(EventEngine &engine, double gap, double demand)
+/** Fixed-gap, fixed-demand policy for exact-arithmetic engine tests;
+ *  @p hooks fill makePolicy's optional trailing arguments. */
+template <class... Hooks>
+auto
+fixedTraffic(EventEngine &engine, double gap, double demand, Hooks... hooks)
 {
-    EventEngine::Callbacks cb;
-    cb.nextGap = [gap] { return gap; };
-    cb.nextDemand = [demand](std::uint32_t) { return demand; };
-    cb.place = [&engine](double, double, std::uint32_t) {
-        return engine.leastFreeServer();
-    };
-    cb.finish = [](std::size_t, double start, double d) { return start + d; };
-    return cb;
+    return makePolicy(
+        [gap] { return EventEngine::Arrival{gap, 0}; },
+        [demand](std::uint32_t) { return demand; },
+        [&engine](double, double, std::uint32_t) {
+            return engine.leastFreeServer();
+        },
+        [](std::size_t, double start, double d) { return start + d; },
+        hooks...);
 }
 
 TEST(EventEngine, ConservesRequestsAndDeliversInFinishOrder)
 {
     Rng rng(5);
     EventEngine engine(3);
-    EventEngine::Callbacks cb;
-    cb.nextGap = [&] { return rng.exponential(0.4); };
-    cb.nextDemand = [&](std::uint32_t) { return rng.exponential(1.0); };
-    cb.place = [&](double, double, std::uint32_t) {
-        return engine.leastFreeServer();
-    };
-    cb.finish = [](std::size_t, double start, double d) { return start + d; };
     std::uint64_t completions = 0;
     double last_finish = 0.0;
-    cb.onComplete = [&](const Completion &c) {
-        ++completions;
-        EXPECT_GE(c.finishMs, last_finish);
-        EXPECT_GE(c.startMs, c.arrivalMs);
-        EXPECT_GE(c.latencyMs(), 0.0);
-        last_finish = c.finishMs;
-    };
-    engine.run(5000, cb);
+    auto policy = makePolicy(
+        [&] { return EventEngine::Arrival{rng.exponential(0.4), 0}; },
+        [&](std::uint32_t) { return rng.exponential(1.0); },
+        [&](double, double, std::uint32_t) {
+            return engine.leastFreeServer();
+        },
+        [](std::size_t, double start, double d) { return start + d; },
+        [&](const Completion &c) {
+            ++completions;
+            EXPECT_GE(c.finishMs, last_finish);
+            EXPECT_GE(c.startMs, c.arrivalMs);
+            EXPECT_GE(c.latencyMs(), 0.0);
+            last_finish = c.finishMs;
+        });
+    engine.run(5000, policy);
 
     EXPECT_EQ(completions, 5000u);
     std::uint64_t placed = 0;
@@ -271,22 +273,21 @@ TEST(EventEngine, ConservesRequestsAndDeliversInFinishOrder)
 TEST(EventEngine, QuantumBoundariesInterleaveWithCompletions)
 {
     EventEngine engine(1);
-    // One request per ms, each needing 0.4 ms: all events are exact.
-    EventEngine::Callbacks cb = fixedTraffic(engine, 1.0, 0.4);
-    cb.quantumMs = 1.0;
     std::vector<double> boundaries;
-    double last_completion_before_boundary = 0.0;
-    cb.onQuantum = [&](double t) { boundaries.push_back(t); };
-    cb.onComplete = [&](const Completion &c) {
-        // Every completion at or before a boundary is delivered first.
-        if (!boundaries.empty()) {
-            EXPECT_GE(c.finishMs, boundaries.back());
-        }
-        last_completion_before_boundary = c.finishMs;
-    };
-    engine.run(10, cb);
+    // One request per ms, each needing 1 ms: every finish lands exactly
+    // on a boundary, and all events are exact.
+    auto policy = fixedTraffic(
+        engine, 1.0, 1.0,
+        [&](const Completion &c) {
+            // Every completion at or before a boundary is delivered first.
+            if (!boundaries.empty()) {
+                EXPECT_GT(c.finishMs, boundaries.back());
+            }
+        },
+        NoopShed{}, [&](double t) { boundaries.push_back(t); }, 1.0);
+    engine.run(10, policy);
 
-    // Arrivals at 1..10 ms, finishes at 1.4..10.4: boundaries 1..10 fire.
+    // Arrivals at 1..10 ms, finishes at 2..11: boundaries 1..11 fire.
     ASSERT_GE(boundaries.size(), 9u);
     for (std::size_t i = 0; i < boundaries.size(); ++i)
         EXPECT_DOUBLE_EQ(boundaries[i], static_cast<double>(i + 1));
@@ -295,8 +296,8 @@ TEST(EventEngine, QuantumBoundariesInterleaveWithCompletions)
 TEST(EventEngine, BacklogAndLeastFreeTrackQueues)
 {
     EventEngine engine(2);
-    EventEngine::Callbacks cb = fixedTraffic(engine, 0.0, 3.0);
-    engine.run(3, cb); // t=0: two servers take one request, one queues
+    // t=0: two servers take one request, one queues.
+    engine.run(3, fixedTraffic(engine, 0.0, 3.0));
     // Server 0 got requests 0 and 2 (3 + 3 ms), server 1 got request 1.
     EXPECT_DOUBLE_EQ(engine.backlogMs(0, 0.0), 6.0);
     EXPECT_DOUBLE_EQ(engine.backlogMs(1, 0.0), 3.0);
@@ -307,20 +308,18 @@ TEST(EventEngine, BacklogAndLeastFreeTrackQueues)
 
 TEST(EventEngine, ChargeCapacityDelaysTheQueue)
 {
-    EventEngine idle(1);
-    EventEngine::Callbacks cb = fixedTraffic(idle, 1.0, 0.5);
     double last = 0.0;
-    cb.onComplete = [&](const Completion &c) { last = c.finishMs; };
-    idle.run(5, cb);
+    auto onComplete = [&](const Completion &c) { last = c.finishMs; };
+    EventEngine idle(1);
+    idle.run(5, fixedTraffic(idle, 1.0, 0.5, onComplete));
     double unperturbed = last;
 
     EventEngine charged(1);
-    cb = fixedTraffic(charged, 1.0, 0.5);
-    cb.onComplete = [&](const Completion &c) { last = c.finishMs; };
-    cb.quantumMs = 1.0;
     // A 0.25 ms capacity charge at every boundary pushes completions out.
-    cb.onQuantum = [&](double t) { charged.chargeCapacity(0, t, 0.25); };
-    charged.run(5, cb);
+    charged.run(5, fixedTraffic(
+                       charged, 1.0, 0.5, onComplete, NoopShed{},
+                       [&](double t) { charged.chargeCapacity(0, t, 0.25); },
+                       1.0));
     EXPECT_GT(last, unperturbed);
 }
 

@@ -27,19 +27,24 @@ from pathlib import Path
 DEFAULT_BENCHES = ["bench_fig15_diurnal_fleet", "bench_cluster"]
 
 
+def is_heading(line: str) -> bool:
+    stripped = line.strip()
+    return stripped.startswith("== ") and stripped.endswith(" ==")
+
+
 def parse_tables(stdout: str):
     """Pair '== title ==' headings with the CSV blocks that follow."""
     lines = stdout.splitlines()
-    titles = [ln.strip()[3:-3].strip() for ln in lines
-              if ln.strip().startswith("== ") and ln.strip().endswith(" ==")]
+    titles = [ln.strip()[3:-3].strip() for ln in lines if is_heading(ln)]
 
     # CSV blocks: maximal runs of consecutive CSV lines. The aligned
     # tables can contain commas inside padded cells ("slack, throttle"),
     # so a line only counts as CSV when it has a comma and no run of
-    # spaces (printCsv never pads).
+    # spaces (printCsv never pads). A heading is never CSV, even when
+    # its title has commas.
     blocks, current = [], []
     for ln in lines:
-        is_csv = "," in ln and "  " not in ln
+        is_csv = not is_heading(ln) and "," in ln and "  " not in ln
         fields = next(csv.reader(io.StringIO(ln)), []) if is_csv else []
         if len(fields) >= 2:
             current.append(fields)
