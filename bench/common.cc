@@ -7,7 +7,7 @@
 
 #include "sim/op_point_cache.h"
 #include "util/log.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "workload/profiles.h"
 
 namespace stretch::bench
@@ -87,7 +87,7 @@ warmCache(const std::vector<sim::RunConfig> &cfgs, const std::string &label)
     // count over the final "done/total" line.
     std::mutex meterMutex;
     std::size_t done = 0;
-    ThreadPool::parallelFor(0, misses.size(), [&](std::size_t i) {
+    parallelFor(0, misses.size(), [&](std::size_t i) {
         cachedRun(*misses[i]);
         if (!label.empty()) {
             std::lock_guard<std::mutex> lock(meterMutex);

@@ -8,9 +8,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/log.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 #include "util/seed_stream.h"
-#include "util/thread_pool.h"
 
 namespace stretch::cluster
 {
@@ -542,9 +542,6 @@ mergeNodes(const ClusterConfig &cfg,
     for (std::size_t j = 0; j < nodes.size(); ++j) {
         const sim::FleetResult &nr = nodes[j];
         m.cores.insert(m.cores.end(), nr.cores.begin(), nr.cores.end());
-        m.serviceRatePerMs.insert(m.serviceRatePerMs.end(),
-                                  nr.serviceRatePerMs.begin(),
-                                  nr.serviceRatePerMs.end());
         m.modeRates.insert(m.modeRates.end(), nr.modeRates.begin(),
                            nr.modeRates.end());
         m.batchPoints.insert(m.batchPoints.end(), nr.batchPoints.begin(),
@@ -787,7 +784,7 @@ runCluster(const ClusterConfig &cfg)
         nc.requests = so.injected[j].size();
         nc.injected = &so.injected[j];
         nc.keepRecorders = true;
-        nc.threads = 1; // node-level parallelism owns the pool
+        nc.threads = 1; // node-level parallelism owns the threads
         nc.metrics = nullptr;
         nc.tracer = cfg.nodeTracers.empty() ? nullptr : cfg.nodeTracers[j];
         if (nc.tracer != nullptr)
@@ -809,7 +806,7 @@ runCluster(const ClusterConfig &cfg)
     }
 
     result.nodes.resize(n);
-    ThreadPool::parallelFor(cfg.threads, n, [&](std::size_t j) {
+    parallelFor(cfg.threads, n, [&](std::size_t j) {
         result.nodes[j] = sim::runFleet(nodeCfgs[j]);
     });
 

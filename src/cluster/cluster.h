@@ -31,7 +31,7 @@
  *  3. **Node execution (parallel).** Every node runs the full
  *     `sim::runFleet` — per-core microarchitectural operating points,
  *     discrete-event dispatch, mode control, telemetry — over its
- *     injected arrival list, on the shared `ThreadPool`. Each node's
+ *     injected arrival list, under `parallelFor`. Each node's
  *     result depends only on its own config and list, so serial and
  *     parallel execution are bit-identical; per-node RNG streams
  *     derive from (cluster seed, node stream, node index).

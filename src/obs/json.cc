@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "util/log.h"
 
@@ -193,6 +194,24 @@ JsonWriter::quoted(std::string_view s)
     }
     q += '"';
     return q;
+}
+
+bool
+writeArtifactFile(const std::string &path, const char *kind,
+                  const std::function<void(std::ostream &)> &write)
+{
+    std::ofstream os(path, std::ios::binary);
+    if (!os) {
+        STRETCH_WARN("cannot open ", kind, " sink '", path, "'");
+        return false;
+    }
+    write(os);
+    os.flush();
+    if (!os) {
+        STRETCH_WARN("short write on ", kind, " sink '", path, "'");
+        return false;
+    }
+    return true;
 }
 
 } // namespace stretch::obs

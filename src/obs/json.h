@@ -15,12 +15,17 @@
  * Not a general-purpose library: no parsing, no pretty-printing beyond
  * a single indent style, and misuse (value without a key inside an
  * object) is a programming error caught by assertion.
+ *
+ * `writeArtifactFile` is the one file sink both artifact kinds go
+ * through.
  */
 
 #ifndef STRETCH_OBS_JSON_H
 #define STRETCH_OBS_JSON_H
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,6 +118,14 @@ class JsonWriter
     /** A `key` was emitted and awaits its value. */
     bool pendingKey = false;
 };
+
+/**
+ * Open @p path, let @p write fill it, and flush. Warns, naming the @p kind
+ * of sink ("trace", "report"), and returns false on I/O failure: a failed
+ * artifact write must not kill a finished run.
+ */
+bool writeArtifactFile(const std::string &path, const char *kind,
+                       const std::function<void(std::ostream &)> &write);
 
 } // namespace stretch::obs
 

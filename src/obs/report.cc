@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <ostream>
 #include <utility>
 
 #include "obs/json.h"
@@ -207,18 +207,8 @@ toJson(const RunReport &r)
 bool
 writeReportFile(const std::string &path, const RunReport &r)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os) {
-        STRETCH_WARN("cannot open report sink '", path, "'");
-        return false;
-    }
-    os << toJson(r);
-    os.flush();
-    if (!os) {
-        STRETCH_WARN("short write on report sink '", path, "'");
-        return false;
-    }
-    return true;
+    return writeArtifactFile(path, "report",
+                             [&](std::ostream &os) { os << toJson(r); });
 }
 
 } // namespace stretch::obs

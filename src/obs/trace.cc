@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -9,7 +8,6 @@
 
 #include "obs/json.h"
 #include "queueing/event_engine.h"
-#include "util/log.h"
 
 namespace stretch::obs
 {
@@ -228,42 +226,13 @@ EngineTracer::writeEvents(JsonWriter &w) const
 void
 EngineTracer::writeTo(std::ostream &os) const
 {
-    JsonWriter w;
-    w.beginObject();
-    w.key("traceEvents");
-    w.beginArray();
-    writeMetadata(w);
-    writeEvents(w);
-    w.endArray();
-
-    w.field("displayTimeUnit", "ms");
-    w.key("otherData");
-    w.beginObject();
-    w.field("schemaVersion", std::int64_t{1});
-    w.field("kind", "trace");
-    w.field("generator", "stretch");
-    w.field("cores", static_cast<std::uint64_t>(cores));
-    w.field("events", static_cast<std::uint64_t>(ev.size()));
-    w.endObject();
-    w.endObject();
-    os << w.str();
+    writeClusterTrace({this}, os);
 }
 
 bool
 EngineTracer::writeFile(const std::string &path) const
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os) {
-        STRETCH_WARN("cannot open trace sink '", path, "'");
-        return false;
-    }
-    writeTo(os);
-    os.flush();
-    if (!os) {
-        STRETCH_WARN("short write on trace sink '", path, "'");
-        return false;
-    }
-    return true;
+    return writeClusterTraceFile({this}, path);
 }
 
 void
@@ -341,18 +310,9 @@ bool
 writeClusterTraceFile(const std::vector<const EngineTracer *> &tracers,
                       const std::string &path)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os) {
-        STRETCH_WARN("cannot open trace sink '", path, "'");
-        return false;
-    }
-    writeClusterTrace(tracers, os);
-    os.flush();
-    if (!os) {
-        STRETCH_WARN("short write on trace sink '", path, "'");
-        return false;
-    }
-    return true;
+    return writeArtifactFile(path, "trace", [&](std::ostream &os) {
+        writeClusterTrace(tracers, os);
+    });
 }
 
 } // namespace stretch::obs

@@ -170,7 +170,8 @@ class EngineTracer
     /** Server count the tracer was built for. */
     std::size_t coreCount() const { return cores; }
 
-    /** Write the full Chrome trace document to @p os. */
+    /** Write the full Chrome trace document to @p os: the one-node
+     *  `writeClusterTrace`. */
     void writeTo(std::ostream &os) const;
 
     /** Write the trace to @p path; warns and returns false on I/O

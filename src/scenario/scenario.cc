@@ -13,8 +13,8 @@
 #include "obs/trace.h"
 #include "sim/op_point_cache.h"
 #include "util/log.h"
+#include "util/parallel_for.h"
 #include "util/seed_stream.h"
-#include "util/thread_pool.h"
 
 namespace stretch::scenario
 {
@@ -96,8 +96,8 @@ calibrate(const Scenario &s)
     Calibration cal;
     try {
         sim::FleetResult flat = sim::runFleet(probe);
-        for (double r : flat.serviceRatePerMs)
-            cal.capacityPerMs += r;
+        for (const sim::ModeRates &r : flat.modeRates)
+            cal.capacityPerMs += r.baseline;
         cal.p99Ms = flat.dispatch.latencyMs.p99;
     } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
@@ -455,9 +455,9 @@ ScenarioBuilder::tryBuild() const
         errors.push_back("nodes(0): a scenario needs at least one node");
     if (draft.nodes > 1) {
         if (draft.trace) {
-            errors.push_back("rack scenarios (nodes > 1) replay no diurnal "
-                             "trace at the ingress: drop diurnal(...) or "
-                             "nodes(n)");
+            errors.push_back("rack scenarios (nodes > 1) cannot yet resolve "
+                             "their ingress rate under a diurnal trace: "
+                             "drop diurnal(...) or nodes(n)");
         }
         if (draft.ingress.signalDelayMs < 0.0)
             errors.push_back("ingress signal delay must be >= 0 ms (got " +
@@ -934,8 +934,17 @@ makeReport(const Scenario &s, const sim::FleetResult &result,
     // hash should identify the *experiment*, not its calibration).
     r.addConfig("cores", static_cast<std::uint64_t>(s.cores.size()));
     if (s.nodes > 1) {
+        const cluster::IngressConfig &in = s.ingress;
         r.addConfig("nodes", static_cast<std::uint64_t>(s.nodes));
-        r.addConfig("ingressPolicy", cluster::toString(s.ingress.policy));
+        r.addConfig("ingressPolicy", cluster::toString(in.policy));
+        r.addConfig("probes", static_cast<std::uint64_t>(in.probes));
+        r.addConfig("signalDelayMs", in.signalDelayMs);
+        r.addConfig("migrateSojournMs", in.migrateSojournMs);
+        r.addConfig("migrationCostMs", in.migrationCostMs);
+        r.addConfig("failoverDelayMs", in.failoverDelayMs);
+        r.addConfig("virtualNodesPerNode",
+                    static_cast<std::uint64_t>(in.virtualNodesPerNode));
+        r.addConfig("spilloverBacklogMs", in.spilloverBacklogMs);
     }
     r.addConfig("requests", s.requests);
     if (s.dayRequests)
@@ -1100,8 +1109,8 @@ Sweep::variants() const
 std::vector<Sweep::Outcome>
 Sweep::run() const
 {
-    // Variants are independent simulations, so they run on the thread
-    // pool (the base scenario's thread budget). Each variant writes its
+    // Variants are independent simulations, so they run in parallel
+    // (on the base scenario's thread budget). Each variant writes its
     // result into an index-addressed slot and the outcomes are
     // assembled in expansion order, so the parallel sweep is
     // bit-identical to the serial loop it replaces. Shared work
@@ -1122,7 +1131,7 @@ Sweep::run() const
                 variantArtifactPath(base.tracePath, v.label);
     }
     std::vector<sim::FleetResult> results(vars.size());
-    ThreadPool::parallelFor(base.threads, vars.size(), [&](std::size_t i) {
+    parallelFor(base.threads, vars.size(), [&](std::size_t i) {
         results[i] = scenario::run(vars[i].scenario);
     });
     std::vector<Outcome> out;

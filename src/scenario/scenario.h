@@ -147,7 +147,7 @@ struct Scenario
     /// @{
     double opsPerRequest = 500000.0; ///< LS request length (instructions)
     std::uint64_t seed = 42;
-    unsigned threads = 0; ///< pool workers (0 = hardware)
+    unsigned threads = 0; ///< worker threads (0 = hardware)
     bool reuseOperatingPoints = true;
     /** Stream length of the calibration probe (when one is needed). */
     std::uint64_t calibrationRequests = 6000;

@@ -13,9 +13,9 @@
 #include "sim/op_point_cache.h"
 #include "stats/streaming_tail.h"
 #include "util/log.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 #include "util/seed_stream.h"
-#include "util/thread_pool.h"
 #include "util/types.h"
 
 namespace stretch::sim
@@ -1102,7 +1102,7 @@ runFleet(const FleetConfig &cfg)
     fleet.cores.resize(n);
 
     // Per-core simulations share no mutable state and each result depends
-    // only on its own derived RunConfig, so the pool schedule cannot
+    // only on its own derived RunConfig, so the thread schedule cannot
     // change any bit of the index-addressed results. Under dynamic mode
     // control every core is measured at all three operating points — plus
     // the fetch-throttled point when the monitor may throttle — with the
@@ -1118,42 +1118,39 @@ runFleet(const FleetConfig &cfg)
     std::vector<RunResult> pointResults;
     if (dynamic) {
         pointResults.resize(n * points);
-        ThreadPool::parallelFor(
-            cfg.threads, n * points, [&](std::size_t task) {
-                std::size_t i = task / points;
-                std::size_t p = task % points;
-                RunConfig rc = slotConfig(i);
-                if (p < numStretchModes) {
-                    auto m = static_cast<StretchMode>(p);
-                    rc.rob =
-                        robSetupFor(m, slotSkew(i, StretchMode::BatchBoost),
-                                    slotSkew(i, StretchMode::QosBoost));
-                } else {
-                    // Throttled point: the monitor only orders throttling
-                    // after stepping to Q-mode, so measure the Q-mode
-                    // partition with the batch thread fetching once every
-                    // throttleFetchRatio cycles on top of it.
-                    rc.rob = robSetupFor(StretchMode::QosBoost,
-                                         slotSkew(i, StretchMode::BatchBoost),
-                                         slotSkew(i, StretchMode::QosBoost));
-                    rc.fetchPolicy = FetchPolicy::Throttle;
-                    rc.throttleRatio = mc.throttleFetchRatio;
-                    rc.throttledThread = 1;
-                }
-                pointResults[task] = measure(rc);
-            });
+        parallelFor(cfg.threads, n * points, [&](std::size_t task) {
+            std::size_t i = task / points;
+            std::size_t p = task % points;
+            RunConfig rc = slotConfig(i);
+            if (p < numStretchModes) {
+                auto m = static_cast<StretchMode>(p);
+                rc.rob = robSetupFor(m, slotSkew(i, StretchMode::BatchBoost),
+                                     slotSkew(i, StretchMode::QosBoost));
+            } else {
+                // Throttled point: the monitor only orders throttling
+                // after stepping to Q-mode, so measure the Q-mode
+                // partition with the batch thread fetching once every
+                // throttleFetchRatio cycles on top of it.
+                rc.rob = robSetupFor(StretchMode::QosBoost,
+                                     slotSkew(i, StretchMode::BatchBoost),
+                                     slotSkew(i, StretchMode::QosBoost));
+                rc.fetchPolicy = FetchPolicy::Throttle;
+                rc.throttleRatio = mc.throttleFetchRatio;
+                rc.throttledThread = 1;
+            }
+            pointResults[task] = measure(rc);
+        });
         for (std::size_t i = 0; i < n; ++i)
             fleet.cores[i] =
                 pointResults[i * points + modeIndex(StretchMode::Baseline)];
     } else {
-        ThreadPool::parallelFor(cfg.threads, n, [&](std::size_t i) {
+        parallelFor(cfg.threads, n, [&](std::size_t i) {
             fleet.cores[i] = measure(slotConfig(i));
         });
     }
 
     // Ordered reduction over cores (determinism: fixed iteration order).
     std::vector<double> ls_uipc, batch_uipc;
-    fleet.serviceRatePerMs.assign(n, 0.0);
     fleet.modeRates.assign(n, ModeRates{});
     fleet.batchPoints.assign(n, FleetResult::BatchOperatingPoints{});
     const double cycles_per_ms = coreFreqGhz * 1e6;
@@ -1168,8 +1165,6 @@ runFleet(const FleetConfig &cfg)
             fleet.totalBatchUipc += r.uipc[1];
             batch_uipc.push_back(r.uipc[1]);
         }
-        // LS thread commit rate converted to request service rate.
-        fleet.serviceRatePerMs[i] = uipcToRate(r.uipc[0]);
         if (dynamic) {
             const RunResult *per_point = &pointResults[i * points];
             fleet.modeRates[i].baseline = uipcToRate(
@@ -1187,7 +1182,7 @@ runFleet(const FleetConfig &cfg)
                     per_point[numStretchModes].uipc[1];
             }
         } else {
-            fleet.modeRates[i] = ModeRates::flat(fleet.serviceRatePerMs[i]);
+            fleet.modeRates[i] = ModeRates::flat(uipcToRate(r.uipc[0]));
             for (std::size_t m = 0; m < numStretchModes; ++m)
                 fleet.batchPoints[i].byMode[m] = r.uipc[1];
             fleet.batchPoints[i].throttled = r.uipc[1];

@@ -5,8 +5,8 @@
  *
  * The paper evaluates a single dual-threaded core; a datacenter deploys
  * racks of them. The fleet layer instantiates N cores — each a complete
- * RunConfig colocation pair — runs their microarchitectural simulations on
- * a worker pool (each core's seed derives only from (fleet seed, core
+ * RunConfig colocation pair — runs their microarchitectural simulations in
+ * parallel (each core's seed derives only from (fleet seed, core
  * index), so parallel and serial execution are bit-identical), then
  * dispatches a shared request stream across the cores on the
  * `queueing::EventEngine` discrete-event substrate with a pluggable
@@ -569,10 +569,6 @@ struct FleetResult
     stats::ViolinSummary batchUipc;
     /// @}
 
-    /** Per-core LS service capacity handed to the dispatcher (req/ms);
-     *  the Baseline-mode rate. */
-    std::vector<double> serviceRatePerMs;
-
     /** Per-mode service rates per core (equal across modes when the fleet
      *  ran without dynamic mode control; `throttledLs` is measured only
      *  when the control loop can actually throttle). */
@@ -603,7 +599,7 @@ struct FleetResult
 };
 
 /**
- * Run every core's simulation (on cfg.threads pool workers), then dispatch
+ * Run every core's simulation (on up to cfg.threads threads), then dispatch
  * the request stream and aggregate. Results are bit-identical for any
  * thread count.
  */

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "util/log.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
 
@@ -176,7 +176,7 @@ run(const RunConfig &cfg)
 
     // ---- Sampling loop ----------------------------------------------
     // Each sample is a fully independent machine whose seed depends only
-    // on (cfg.seed, sample index), so samples can run on pool workers.
+    // on (cfg.seed, sample index), so samples can run on parallel threads.
     // Outcomes land in index-addressed slots and are reduced in sample
     // order below, making the result bit-identical for any parallelism.
     struct SampleOutcome
@@ -288,11 +288,9 @@ run(const RunConfig &cfg)
     };
 
     std::vector<SampleOutcome> outcomes(samples);
-    ThreadPool::parallelFor(cfg.parallelism, samples,
-                            [&](std::size_t s) {
-                                runSample(static_cast<unsigned>(s),
-                                          outcomes[s]);
-                            });
+    parallelFor(cfg.parallelism, samples, [&](std::size_t s) {
+        runSample(static_cast<unsigned>(s), outcomes[s]);
+    });
 
     // Ordered reduction: identical arithmetic to the historical serial
     // loop, so parallelism never changes a reported number.

@@ -717,9 +717,9 @@ TEST(FleetHeterogeneous, AllZeroSlotsMatchAHomogeneousFleet)
 
     FleetResult a = runFleet(het);
     FleetResult b = runFleet(hom);
-    ASSERT_EQ(a.serviceRatePerMs.size(), b.serviceRatePerMs.size());
+    ASSERT_EQ(a.modeRates.size(), b.modeRates.size());
     for (std::size_t c = 0; c < 2; ++c)
-        EXPECT_EQ(a.serviceRatePerMs[c], b.serviceRatePerMs[c]);
+        EXPECT_EQ(a.modeRates[c].baseline, b.modeRates[c].baseline);
     EXPECT_EQ(a.dispatch.latencyMs.p99, b.dispatch.latencyMs.p99);
     EXPECT_EQ(a.dispatch.placed, b.dispatch.placed);
 }

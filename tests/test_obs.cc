@@ -15,8 +15,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -112,6 +114,45 @@ TEST(RunReportHash, SensitiveToLabelSeedAndConfig)
     b = a;
     b.addConfig("burstRatio", 3.0);
     EXPECT_NE(a.hash(), b.hash());
+}
+
+TEST(RunReportHash, TellsRackIngressSettingsApart)
+{
+    // Each ingress knob changes a rack's results, so a sweep over any of
+    // them (probes x signal delay, say) must not collapse to one hash.
+    // Single-node runs ignore the ingress, so their hashes must not move.
+    using Bump = void (*)(cluster::IngressConfig &);
+    const std::vector<std::pair<const char *, Bump>> bumps = {
+        {"probes", [](cluster::IngressConfig &in) { in.probes += 1; }},
+        {"signalDelayMs",
+         [](cluster::IngressConfig &in) { in.signalDelayMs += 1.0; }},
+        {"migrateSojournMs",
+         [](cluster::IngressConfig &in) { in.migrateSojournMs += 1.0; }},
+        {"migrationCostMs",
+         [](cluster::IngressConfig &in) { in.migrationCostMs += 1.0; }},
+        {"failoverDelayMs",
+         [](cluster::IngressConfig &in) { in.failoverDelayMs += 1.0; }},
+        {"virtualNodesPerNode",
+         [](cluster::IngressConfig &in) { in.virtualNodesPerNode += 1; }},
+        {"spilloverBacklogMs",
+         [](cluster::IngressConfig &in) { in.spilloverBacklogMs += 1.0; }},
+    };
+    const sim::FleetResult result;
+    auto hash = [&](const scenario::Scenario &s) {
+        return scenario::makeReport(s, result, nullptr, nullptr).hash();
+    };
+    const scenario::Scenario rack = scenario::preset("rack-web-search");
+    ASSERT_GT(rack.nodes, 1u);
+    scenario::Scenario single = rack;
+    single.nodes = 1;
+    for (const auto &[name, bump] : bumps) {
+        scenario::Scenario r = rack;
+        bump(r.ingress);
+        EXPECT_NE(hash(r), hash(rack)) << name;
+        scenario::Scenario n = single;
+        bump(n.ingress);
+        EXPECT_EQ(hash(n), hash(single)) << name;
+    }
 }
 
 // ---- MetricRegistry ---------------------------------------------------
@@ -211,6 +252,8 @@ TEST(EngineTracer, WritesChromeTraceDocument)
     EXPECT_NE(doc.find("\"displayTimeUnit\""), std::string::npos);
     // ts is microseconds: 1.0 ms -> 1000.
     EXPECT_NE(doc.find("\"ts\":1000"), std::string::npos) << doc;
+    // A single tracer is a one-node cluster trace.
+    EXPECT_NE(doc.find("\"nodes\":1"), std::string::npos) << doc;
 }
 
 TEST(EngineTracer, ClusterTraceMergesProcessGroups)
@@ -535,6 +578,26 @@ TEST(ScenarioReporting, RunInstrumentedReturnsLiveObjectsAndWritesNothing)
     EXPECT_EQ(r.metrics->counterValue("engine.completions"),
               r.result.dispatch.latencyMs.count);
     EXPECT_FALSE(fs::exists(trace)); // serialization is the caller's call
+}
+
+TEST(ArtifactSinks, WritersReturnFalseForAPathInAMissingDirectory)
+{
+    namespace fs = std::filesystem;
+    const fs::path missing = fs::path(::testing::TempDir()) / "no-such-dir";
+    fs::remove_all(missing);
+
+    obs::EngineTracer tr(1);
+    tr.arrival(1.0, 0);
+    const sim::FleetResult result;
+    obs::RunReport rep;
+    rep.result = &result;
+
+    EXPECT_FALSE(tr.writeFile((missing / "run.trace.json").string()));
+    EXPECT_FALSE(obs::writeClusterTraceFile(
+        {&tr}, (missing / "rack.trace.json").string()));
+    EXPECT_FALSE(
+        obs::writeReportFile((missing / "run.report.json").string(), rep));
+    EXPECT_FALSE(fs::exists(missing));
 }
 
 // ---- Sweep artifact paths ---------------------------------------------

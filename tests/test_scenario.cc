@@ -270,8 +270,8 @@ TEST(ScenarioCalibration, ResolvesLoadFractionsAndQosTarget)
     probe.requests = flat.calibrationRequests;
     sim::FleetResult probe_result = sim::runFleet(probe);
     double capacity = 0.0;
-    for (double r : probe_result.serviceRatePerMs)
-        capacity += r;
+    for (const sim::ModeRates &r : probe_result.modeRates)
+        capacity += r.baseline;
 
     EXPECT_DOUBLE_EQ(lowered.arrivalRatePerMs, 0.5 * capacity);
     EXPECT_DOUBLE_EQ(lowered.control.monitor.qosTarget,

@@ -2,27 +2,23 @@
  * @file
  * Unit tests for the util substrate: deterministic RNG, Zipf sampling,
  * hierarchical seed derivation, the log-bucketed latency histogram, and
- * the thread pool.
+ * parallelFor.
  */
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/histogram.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 #include "util/seed_stream.h"
-#include "util/thread_pool.h"
 #include "util/types.h"
 
 namespace stretch
@@ -295,80 +291,49 @@ TEST(DeriveSeed, DistinctPathsDecorrelate)
                   "deriveSeed must fold right");
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
+TEST(ParallelFor, CoversEveryIndexOnce)
 {
     std::vector<std::atomic<int>> touched(64);
     for (auto &t : touched)
         t = 0;
-    ThreadPool::parallelFor(4, touched.size(),
-                            [&](std::size_t i) { ++touched[i]; });
+    parallelFor(4, touched.size(), [&](std::size_t i) { ++touched[i]; });
     for (auto &t : touched)
         EXPECT_EQ(t.load(), 1);
 }
 
-TEST(ThreadPool, WaiterDrainsTasksSubmittedWhileWaiting)
+TEST(ParallelFor, RethrowsFirstErrorAfterEveryIndexRan)
 {
-    // Regression: submit() used to notify only the workers' cv, never
-    // idleCv — so a caller already blocked in wait() slept through tasks
-    // submitted after it started waiting. With a single worker pinned
-    // inside task A, the nested submit of B can only be drained by the
-    // waiting caller; without the fix this deadlocks.
-    ThreadPool pool(1);
-    std::atomic<bool> released{false};
-    pool.submit([&] {
-        // Give the caller time to enter wait() and block on idleCv.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        pool.submit([&] { released = true; });
-        // Pin the sole worker until the caller has drained B.
-        while (!released.load())
-            std::this_thread::yield();
+    // Serial and parallel alike: a throwing index must not stop the
+    // others from running, and the call must still report the failure.
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<std::atomic<int>> ran(200);
+        for (auto &r : ran)
+            r = 0;
+        auto body = [&](std::size_t i) {
+            ++ran[i];
+            if (i % 7 == 0)
+                throw std::runtime_error("index failed");
+        };
+        EXPECT_THROW(parallelFor(threads, ran.size(), body),
+                     std::runtime_error)
+            << "threads " << threads;
+        for (std::size_t i = 0; i < ran.size(); ++i)
+            EXPECT_EQ(ran[i].load(), 1) << "threads " << threads << " i " << i;
+    }
+}
+
+TEST(ParallelFor, NestedLoopsComplete)
+{
+    // Production nests loops: Sweep::run runs variants in parallel and
+    // each variant's runFleet runs its cores in parallel.
+    std::vector<std::atomic<int>> touched(8 * 8);
+    for (auto &t : touched)
+        t = 0;
+    parallelFor(4, 8, [&](std::size_t i) {
+        parallelFor(4, 8, [&](std::size_t j) { ++touched[i * 8 + j]; });
     });
-    pool.wait();
-    EXPECT_TRUE(released.load());
-}
-
-TEST(ThreadPool, WaitRethrowsFirstTaskError)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitAcceptsMoveOnlyCallables)
-{
-    // Regression: the queue used to hold std::function, whose
-    // copyability requirement rejected unique_ptr-capturing lambdas at
-    // compile time. MoveOnlyTask lifts that.
-    ThreadPool pool(2);
-    std::atomic<int> sum{0};
-    auto payload = std::make_unique<int>(41);
-    pool.submit([p = std::move(payload), &sum] { sum += *p + 1; });
-    // A large capture exercises the heap-fallback path of MoveOnlyTask.
-    std::array<std::uint64_t, 32> big{};
-    big.fill(1);
-    auto heapPayload = std::make_unique<int>(58);
-    pool.submit([p = std::move(heapPayload), big, &sum] {
-        sum += *p + static_cast<int>(big[7]) + 1;
-    });
-    pool.wait();
-    EXPECT_EQ(sum.load(), 42 + 60);
-}
-
-TEST(ThreadPool, MoveOnlyTaskMoveTransfersOwnership)
-{
-    int hits = 0;
-    auto p = std::make_unique<int>(7);
-    MoveOnlyTask a([p = std::move(p), &hits] { hits += *p; });
-    MoveOnlyTask b(std::move(a));
-    EXPECT_FALSE(static_cast<bool>(a));
-    ASSERT_TRUE(static_cast<bool>(b));
-    b();
-    EXPECT_EQ(hits, 7);
-    MoveOnlyTask c;
-    c = std::move(b);
-    EXPECT_FALSE(static_cast<bool>(b));
-    c();
-    EXPECT_EQ(hits, 14);
+    for (auto &t : touched)
+        EXPECT_EQ(t.load(), 1);
 }
 
 } // namespace
