@@ -413,6 +413,51 @@ TEST(RequestSim, Deterministic)
     EXPECT_EQ(a.meanMs, b.meanMs);
 }
 
+TEST(RequestSim, ModulatedServiceGolden)
+{
+    // Exact outputs under the duty-cycle modulator at seed 42, recorded
+    // from the window-by-window loop. A faster modulator must reproduce
+    // every bit; hex float literals are exact.
+    struct Golden
+    {
+        const char *service;
+        double duty;
+        double meanMs, p50Ms, p99Ms, p999Ms, maxMs;
+    };
+    const Golden golden[] = {
+        {"web_search", 0.755, 0x1.49fa4ada76cdep+5, 0x1.116872b020c4ap+5,
+         0x1.322d0e5604189p+7, 0x1.a4737815fb24p+7, 0x1.a4737815fb24p+7},
+        {"web_search", 0.265, 0x1.c10ef021542ddp+12, 0x1.c189374bc6a7fp+12,
+         0x1.6978d4fdf3b64p+13, 0x1.718e1c335075bp+13, 0x1.718e1c335075bp+13},
+        {"web_search", 0.02, 0x1.72d766aa129f7p+17, 0x1.71a9fbe76c8b4p+17,
+         0x1.3a5e353f7ced9p+18, 0x1.3c6a7ef9db22dp+18, 0x1.3d52d89109757p+18},
+        {"media_streaming", 0.755, 0x1.399fad9c4053dp+8, 0x1.1ba5e353f7ceep+8,
+         0x1.71a9fbe76c8b4p+9, 0x1.4083126e978d5p+10, 0x1.40977e80fefcp+10},
+        {"media_streaming", 0.265, 0x1.ead0afd7d9be8p+15,
+         0x1.ee978d4fdf3b6p+15, 0x1.8c49ba5e353f8p+16, 0x1.90512c6f7896p+16,
+         0x1.90512c6f7896p+16},
+        {"media_streaming", 0.02, 0x1.8f8171334c728p+20, 0x1.8e5604189374cp+20,
+         0x1.52f1a9fbe76c9p+21, 0x1.54fdf3b645a1dp+21, 0x1.5562e53461ef3p+21},
+    };
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(::testing::Message() << g.service << " duty " << g.duty);
+        const ServiceSpec &spec = serviceSpec(g.service);
+        SimKnobs knobs;
+        knobs.requests = 1000;
+        knobs.warmup = 200;
+        knobs.seed = 42;
+        knobs.duty = g.duty;
+        LatencyResult r = simulateService(
+            spec, 0.5 * spec.workers / spec.meanServiceMs, knobs);
+        EXPECT_EQ(r.count, 1000u);
+        EXPECT_EQ(r.meanMs, g.meanMs);
+        EXPECT_EQ(r.p50Ms, g.p50Ms);
+        EXPECT_EQ(r.p99Ms, g.p99Ms);
+        EXPECT_EQ(r.p999Ms, g.p999Ms);
+        EXPECT_EQ(r.maxMs, g.maxMs);
+    }
+}
+
 TEST(RequestSim, TailSelectsPercentile)
 {
     LatencyResult r;
