@@ -5,8 +5,13 @@
  * peak-load/slack studies, and the diurnal traces.
  */
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +100,125 @@ TEST(Modulator, ShortWorkWithinWindow)
 {
     DutyCycleModulator mod(0.5, 1.0);
     EXPECT_NEAR(mod.finish(0.1, 0.2), 0.3, 1e-12);
+}
+
+/** The window-by-window walk DutyCycleModulator::finish ran before it
+ *  skipped full windows: the oracle for that skip. */
+double
+referenceFinish(double duty, double quantum, double start, double demand)
+{
+    if (duty >= 1.0)
+        return start + demand;
+    double t = start;
+    double remaining = demand;
+    for (;;) {
+        double k = std::floor(t / quantum);
+        double win_start = k * quantum;
+        double win_end = win_start + duty * quantum;
+        if (t >= win_end) {
+            // Wait for the next window.
+            t = win_start + quantum;
+            continue;
+        }
+        if (t < win_start)
+            t = win_start;
+        double avail = win_end - t;
+        if (remaining <= avail)
+            return t + remaining;
+        remaining -= avail;
+        t = win_start + quantum;
+    }
+}
+
+/** Bit pattern of @p x: equal patterns are the same double. */
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/** The inputs of one finish() call, exactly, for a failure message. */
+std::string
+finishCall(double duty, double quantum, double start, double demand)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "duty %a quantum %a: finish(%a, %a)",
+                  duty, quantum, start, demand);
+    return buf;
+}
+
+TEST(Modulator, WindowSkipMatchesTheLoopBitForBit)
+{
+    int cases = 0, mismatches = 0;
+    auto check = [&](double duty, double quantum, double start,
+                     double demand) {
+        ++cases;
+        std::uint64_t got =
+            bits(DutyCycleModulator(duty, quantum).finish(start, demand));
+        std::uint64_t want =
+            bits(referenceFinish(duty, quantum, start, demand));
+        // Report the first few mismatches in full; count the rest.
+        if (mismatches < 5) {
+            EXPECT_EQ(got, want) << finishCall(duty, quantum, start, demand);
+        }
+        mismatches += got != want;
+    };
+    const double benchDuties[] = {0.755, 0.51, 0.265, 0.02};
+    Rng rng(42);
+    auto randomDuty = [&rng] { return 0.01 + 0.99 * rng.uniform(); };
+
+    // Random cases over power-of-two quanta from 2^-4 to 2 ms.
+    for (int i = 0; i < 20000; ++i) {
+        double quantum = std::ldexp(1.0, static_cast<int>(rng.between(-4, 1)));
+        double duty =
+            rng.chance(0.5) ? benchDuties[rng.below(4)] : randomDuty();
+        // Unaligned starts log-uniform in [1e-3, 2e6) ms, starts aligned
+        // to the quantum, and starts a few quanta below 2^k.
+        double start = 1e-3 * std::pow(2e9, rng.uniform());
+        switch (rng.below(3)) {
+        case 0:
+            break;
+        case 1:
+            start = std::floor(start / quantum) * quantum;
+            break;
+        default:
+            int k = static_cast<int>(rng.between(0, 21));
+            double below = static_cast<double>(rng.between(1, 4)) * quantum;
+            start = std::max(std::ldexp(1.0, k) - below, 0.0);
+        }
+        double demand =
+            rng.chance(0.5) ? 200.0 * rng.uniform() : rng.exponential(10.0);
+        check(duty, quantum, start, demand);
+    }
+
+    // Whole numbers of full windows from a power-of-two start, so the
+    // request ends exactly on a window end.
+    for (int qe = -4; qe <= 1; ++qe) {
+        double quantum = std::ldexp(1.0, qe);
+        for (int e = 0; e < 16; ++e) {
+            double start = std::ldexp(1.0, e);
+            for (int d = 0; d < 6; ++d) {
+                double duty = d < 4 ? benchDuties[d] : randomDuty();
+                double grant = (start + duty * quantum) - start;
+                // 1 to 24 windows, then a few longer random runs.
+                for (std::int64_t m = 1; m <= 32; ++m) {
+                    double windows = m <= 24 ? m : rng.between(25, 5000);
+                    check(duty, quantum, start, windows * grant);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
+}
+
+TEST(ModulatorDeathTest, NonPowerOfTwoQuantumDies)
+{
+    // With q = 0.1, 0.5 + 0.1 rounds to just below 0.6, floor(t / q)
+    // gives back the window just left, and the walk never returned.
+    EXPECT_DEATH(DutyCycleModulator(0.5, 0.1).finish(0.55, 0.2),
+                 "power of two");
 }
 
 TEST(ArrivalProcess, PoissonVariantMatchesRawPoisson)
