@@ -109,6 +109,25 @@ BM_QueueingRequest(benchmark::State &state)
 }
 BENCHMARK(BM_QueueingRequest);
 
+/** BM_QueueingRequest's run with the core duty-cycled: every request goes
+ *  through DutyCycleModulator::finish. */
+void
+BM_QueueingServiceDuty(benchmark::State &state, double duty)
+{
+    using namespace queueing;
+    const ServiceSpec &spec = serviceSpec("web_search");
+    for (auto _ : state) {
+        SimKnobs knobs;
+        knobs.requests = 2000;
+        knobs.warmup = 100;
+        knobs.duty = duty;
+        benchmark::DoNotOptimize(simulateService(spec, 0.1, knobs));
+    }
+    state.SetItemsProcessed(state.iterations() * 2000);
+}
+BENCHMARK_CAPTURE(BM_QueueingServiceDuty, duty_0_265, 0.265);
+BENCHMARK_CAPTURE(BM_QueueingServiceDuty, duty_0_02, 0.02);
+
 // ---------------------------------------------------------------------------
 // End-to-end engine throughput (simulated requests per second).
 //
