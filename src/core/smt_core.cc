@@ -31,7 +31,6 @@ SmtCore::attachThread(ThreadId tid, TraceGenerator *gen)
     STRETCH_ASSERT(threads[tid].count == 0 && threads[tid].fetchBuf.empty(),
                    "attachThread with instructions in flight");
     threads[tid].gen = gen;
-    threads[tid].replay.clear();
     threads[tid].pendingValid = false;
     threads[tid].fetchBlockedUntil = curCycle;
     threads[tid].waitingBranch = false;
@@ -48,45 +47,6 @@ void
 SmtCore::configureLsq(ShareMode mode, unsigned limit0, unsigned limit1)
 {
     lsqRes.configure(mode, limit0, limit1);
-}
-
-void
-SmtCore::flushAllThreads()
-{
-    for (ThreadId t = 0; t < numSmtThreads; ++t)
-        flushThread(t);
-}
-
-void
-SmtCore::flushThread(ThreadId tid)
-{
-    ThreadState &ts = threads[tid];
-    std::deque<MicroOp> replay;
-    for (std::uint32_t n = 0; n < ts.count; ++n) {
-        Entry &e = ts.ring[slotIndex(ts, n)];
-        replay.push_back(e.op);
-        e.valid = false;
-        e.consumers.clear();
-    }
-    for (const auto &fo : ts.fetchBuf)
-        replay.push_back(fo.op);
-    if (ts.pendingValid) {
-        replay.push_back(ts.pending);
-        ts.pendingValid = false;
-    }
-    for (const auto &op : ts.replay)
-        replay.push_back(op);
-    ts.replay = std::move(replay);
-    ts.fetchBuf.clear();
-    ts.readyList.clear();
-    ts.head = 0;
-    ts.count = 0;
-    ts.regSeq.fill(0);
-    robRes.releaseAll(tid);
-    lsqRes.releaseAll(tid);
-    ts.fetchBlockedUntil = curCycle + params.flushPenalty;
-    ts.waitingBranch = false;
-    ts.blockReason = FetchBlock::Flush;
 }
 
 unsigned
@@ -129,7 +89,7 @@ void
 SmtCore::fetchThread(ThreadId tid, unsigned &budget)
 {
     ThreadState &ts = threads[tid];
-    if (!ts.gen && ts.replay.empty() && !ts.pendingValid)
+    if (!ts.gen && !ts.pendingValid)
         return;
     if (curCycle < ts.fetchBlockedUntil || ts.waitingBranch)
         return;
@@ -140,14 +100,9 @@ SmtCore::fetchThread(ThreadId tid, unsigned &budget)
 
     while (budget > 0 && ts.fetchBuf.size() < params.fetchBufferEntries) {
         if (!ts.pendingValid) {
-            if (!ts.replay.empty()) {
-                ts.pending = ts.replay.front();
-                ts.replay.pop_front();
-            } else if (ts.gen) {
-                ts.pending = ts.gen->next();
-            } else {
+            if (!ts.gen)
                 break;
-            }
+            ts.pending = ts.gen->next();
             ts.pendingValid = true;
         }
         const MicroOp &op = ts.pending;
@@ -527,9 +482,6 @@ SmtCore::accountCycle()
                 break;
               case FetchBlock::BtbRedirect:
                 ++tstats[t].fetchStallBtbRedirect;
-                break;
-              case FetchBlock::Flush:
-                ++tstats[t].fetchStallFlush;
                 break;
               case FetchBlock::None:
                 break;

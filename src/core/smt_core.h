@@ -6,7 +6,11 @@
  * thread selection in the front-end, a 192-entry ROB and 64-entry LSQ with
  * per-thread limit/usage partition registers (the Stretch mechanism),
  * functional-unit pools (4 int ALU, 2 int mul, 3 FPU, 2 LSU), round-robin
- * commit selection, and a 12-cycle pipeline flush.
+ * commit selection, and a 12-cycle branch-mispredict flush penalty.
+ *
+ * The partition limits are programmed once, before the first cycle: a
+ * Stretch mode is a fixed configuration of a run (`sim::robSetupFor`),
+ * so the model never switches modes or squashes on a live core.
  *
  * The model is trace-driven: branch wrong paths are approximated by
  * stopping a thread's fetch at a mispredicted branch until it resolves and
@@ -65,7 +69,7 @@ struct CoreParams
     unsigned fpuLatency = 4;
     unsigned branchLatency = 1;
 
-    unsigned flushPenalty = 12;   ///< mispredict / mode-change flush
+    unsigned flushPenalty = 12;   ///< fetch redirect after a mispredict
     unsigned btbMissPenalty = 5;  ///< decode-stage redirect for taken
                                   ///< branches with correct direction but
                                   ///< no BTB-supplied target
@@ -96,7 +100,6 @@ struct ThreadStats
     std::uint64_t fetchStallICache = 0;
     std::uint64_t fetchStallBranchResolve = 0; ///< waiting + flush penalty
     std::uint64_t fetchStallBtbRedirect = 0;
-    std::uint64_t fetchStallFlush = 0; ///< mode-change flush penalty
     /// @}
 };
 
@@ -123,12 +126,6 @@ class SmtCore
     const PartitionedResource &rob() const { return robRes; }
     /** LSQ resource (for inspection/tests). */
     const PartitionedResource &lsq() const { return lsqRes; }
-    /**
-     * Squash all in-flight instructions on both threads and charge the
-     * flush penalty; squashed ops replay afterwards. Called on a Stretch
-     * mode change (Section IV-C).
-     */
-    void flushAllThreads();
     /// @}
 
     /** Advance one cycle. */
@@ -173,7 +170,7 @@ class SmtCore
     /** In-flight instruction state. */
     enum class EntryState : std::uint8_t { Waiting, Ready, Issued, Done };
 
-    /** Consumer record; the seq guards against slot reuse after squash. */
+    /** Consumer record; the seq guards against slot reuse. */
     struct Consumer
     {
         std::uint32_t slot;
@@ -204,16 +201,12 @@ class SmtCore
         ICache,
         BranchResolve,
         BtbRedirect,
-        Flush,
     };
 
     struct ThreadState
     {
         TraceGenerator *gen = nullptr;
         FetchBlock blockReason = FetchBlock::None;
-        // Replay queue holds squashed-but-uncommitted ops (mode-change
-        // flush) that must re-enter the pipeline before new trace ops.
-        std::deque<MicroOp> replay;
         bool pendingValid = false;
         MicroOp pending; ///< op fetched from the stream but not yet consumed
 
@@ -257,7 +250,6 @@ class SmtCore
     void scheduleCompletion(ThreadId tid, std::uint32_t slot,
                             std::uint64_t seq, Cycle when);
     void completeEntry(ThreadId tid, std::uint32_t slot);
-    void flushThread(ThreadId tid);
 
     std::uint32_t slotIndex(const ThreadState &ts, std::uint32_t nth) const
     {

@@ -35,7 +35,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "qos/stretch_controller.h"
+#include "qos/stretch_mode.h"
 
 namespace stretch
 {

@@ -61,18 +61,13 @@ modeForSeverity(int severity)
 }
 
 /**
- * The software side of one dynamically-controlled fleet core: a minimal
- * machine hosting the architectural mode register, so engaging a mode
- * programs real partition limit registers and performs the mode-change
- * flush exactly as system software would, plus the CPI²-style monitor fed
- * by request completion latencies.
+ * The software side of one dynamically-controlled fleet core: the
+ * CPI²-style monitor fed by request completion latencies. The core's
+ * mode lives in the dispatcher's `mode[c]`; a mode change is charged as
+ * `ModeControlConfig::flushCostMs` of lost capacity.
  */
 struct CoreControl
 {
-    MemoryHierarchy mem;
-    BranchUnit bp;
-    SmtCore core;
-    StretchController ctrl;
     Cpi2Monitor monitor;
 
     /**
@@ -84,16 +79,7 @@ struct CoreControl
 
     CoreControl(const ModeControlConfig &mc,
                 const workloads::ServiceClassRegistry &classes)
-        : mem([] {
-              // The control machine never executes instructions; keep its
-              // uncore allocation tiny.
-              HierarchyConfig hcfg;
-              hcfg.llcBytes = 64 * 1024;
-              hcfg.llcWayPartition = {8, 8};
-              return hcfg;
-          }()),
-          bp(BranchUnitConfig{}), core(CoreParams{}, mem, bp),
-          ctrl(core, 0, mc.bmodeSkew, mc.qmodeSkew), monitor(mc.monitor)
+        : monitor(mc.monitor)
     {
         classMonitors.reserve(classes.size());
         for (const workloads::ServiceClass &cls : classes.all()) {
@@ -366,8 +352,8 @@ dispatchRequests(const DispatchConfig &cfg)
                                        arrivalStream});
     }
 
-    // Controllers exist only under dynamic policies; Static runs carry no
-    // machine state, just the residency clock.
+    // Monitors exist only under dynamic policies; Static runs carry no
+    // control state, just the residency clock.
     std::vector<std::unique_ptr<CoreControl>> controls(n);
     if (dynamic) {
         for (std::size_t c : servingIdx)
@@ -724,7 +710,6 @@ dispatchRequests(const DispatchConfig &cfg)
             }
             ms.residencyMs[modeIndex(mode[c])] += t - segStartMs[c];
             segStartMs[c] = t;
-            cc.ctrl.engage(next); // register write + partitions + flush
             engine.chargeCapacity(c, t, mc.flushCostMs);
             ms.flushMs += mc.flushCostMs;
             ++ms.transitions;
@@ -873,11 +858,6 @@ dispatchRequests(const DispatchConfig &cfg)
             ms.throttledAtEnd = true;
             if (tracer)
                 tracer->throttleEnd(c, out.elapsedMs);
-        }
-        if (controls[c]) {
-            STRETCH_ASSERT(controls[c]->ctrl.modeChanges() == ms.transitions,
-                           "mode-register change count diverged from the "
-                           "dispatch timeline");
         }
     }
     for (std::size_t c = 0; c < n; ++c) {

@@ -13,13 +13,14 @@
  * placement policy.
  *
  * On top of the shared engine sits the paper's headline *dynamic* Stretch
- * story: each serving core owns a real `StretchController` (mode register
- * + partition programming + flush) and a `Cpi2Monitor` fed by
- * request-level completion latencies, and a pluggable mode policy flips
- * the mode register at control-quantum boundaries as backlog and slack
- * change. Mode-change flush costs are charged against service capacity,
- * and per-core mode residency/transition counts are reported in the
- * dispatch outcome.
+ * story: each serving core has a `Cpi2Monitor` fed by request-level
+ * completion latencies, and a pluggable mode policy picks the core's
+ * Stretch mode at control-quantum boundaries as backlog and slack
+ * change. A mode is plain configuration: each core's capacity is
+ * measured at every mode before dispatch starts (`sim::robSetupFor`),
+ * and a mode change is charged as `ModeControlConfig::flushCostMs` of
+ * lost service capacity. Per-core mode residency/transition counts are
+ * reported in the dispatch outcome.
  *
  * The monitor's full CPI² decision ladder is closed: completion latencies
  * and CPI-style slowdown proxies feed each core's monitor, and when the
@@ -58,7 +59,7 @@
 #include <vector>
 
 #include "qos/cpi2_monitor.h"
-#include "qos/stretch_controller.h"
+#include "qos/stretch_mode.h"
 #include "sim/class_router.h"
 #include "sim/runner.h"
 #include "sim/traffic.h"

@@ -54,7 +54,7 @@ writeStats(std::ostream &os, const ThreadStats &s)
     for (std::uint64_t m : s.mlpCycles)
         os << ' ' << m;
     os << ' ' << s.fetchStallICache << ' ' << s.fetchStallBranchResolve
-       << ' ' << s.fetchStallBtbRedirect << ' ' << s.fetchStallFlush;
+       << ' ' << s.fetchStallBtbRedirect;
 }
 
 bool
@@ -66,7 +66,7 @@ readStats(std::istream &is, ThreadStats &s)
     for (std::uint64_t &m : s.mlpCycles)
         is >> m;
     is >> s.fetchStallICache >> s.fetchStallBranchResolve >>
-        s.fetchStallBtbRedirect >> s.fetchStallFlush;
+        s.fetchStallBtbRedirect;
     return static_cast<bool>(is);
 }
 

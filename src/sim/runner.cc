@@ -314,7 +314,6 @@ run(const RunConfig &cfg)
             dst.fetchStallICache += st.fetchStallICache;
             dst.fetchStallBranchResolve += st.fetchStallBranchResolve;
             dst.fetchStallBtbRedirect += st.fetchStallBtbRedirect;
-            dst.fetchStallFlush += st.fetchStallFlush;
             for (std::size_t i = 0; i < st.mlpCycles.size(); ++i)
                 dst.mlpCycles[i] += st.mlpCycles[i];
             agg.l1dMissCount[t] += out.l1dMisses[t];

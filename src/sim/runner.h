@@ -17,7 +17,7 @@
 #include <string>
 
 #include "core/smt_core.h"
-#include "qos/stretch_controller.h"
+#include "qos/stretch_mode.h"
 #include "util/types.h"
 
 namespace stretch::sim

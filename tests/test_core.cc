@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the SMT core model: pipeline throughput and latency
- * behaviour, partition enforcement, flush/replay, fetch policies, and
- * SMT interaction, using hand-built micro-op streams.
+ * behaviour, partition enforcement, fetch policies, and SMT interaction,
+ * using hand-built micro-op streams.
  */
 
 #include <memory>
@@ -238,44 +238,6 @@ TEST(Core, MispredictStatsCounted)
     EXPECT_GT(rate, 0.3);
     EXPECT_LT(rate, 0.7);
     EXPECT_GT(st.fetchStallBranchResolve, 1000u);
-}
-
-TEST(Core, FlushReplaysWithoutLosingInstructions)
-{
-    Machine m;
-    TraceGenerator gen(aluOnlyProfile(), 5, 0);
-    m.core.attachThread(0, &gen);
-    m.core.configureRob(ShareMode::Partitioned, 192, 192);
-    m.core.runUntilCommitted(0, 3000); // past the cold I-side misses
-    m.core.run(50);                    // leave work in flight
-    std::uint64_t committed_before = m.core.stats(0).committedOps;
-    m.core.flushAllThreads();
-    EXPECT_EQ(m.core.robOccupancy(0), 0u);
-    m.core.run(400);
-    // Execution resumes and continues committing after the flush penalty.
-    EXPECT_GT(m.core.stats(0).committedOps, committed_before + 500);
-    EXPECT_GT(m.core.stats(0).fetchStallFlush, 0u);
-}
-
-TEST(Core, FlushPreservesDeterministicCommitCount)
-{
-    // A run with a mid-point flush must commit the same instruction
-    // stream (replayed), just later: after enough cycles the committed
-    // count difference equals the flush bubble only.
-    auto committedAfter = [](bool flush) {
-        Machine m;
-        TraceGenerator gen(aluOnlyProfile(), 5, 0);
-        m.core.attachThread(0, &gen);
-        m.core.configureRob(ShareMode::Partitioned, 192, 192);
-        m.core.run(300);
-        if (flush)
-            m.core.flushAllThreads();
-        m.core.run(3000);
-        return m.core.stats(0).committedOps;
-    };
-    std::uint64_t without = committedAfter(false);
-    std::uint64_t with = committedAfter(true);
-    EXPECT_LT(without - with, 600u); // bounded bubble, no divergence
 }
 
 TEST(Core, SmtIdenticalThreadsShareFairly)

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "qos/cpi2_monitor.h"
-#include "qos/stretch_controller.h"
 #include "queueing/load_study.h"
 #include "sim/runner.h"
 #include "workload/profiles.h"
@@ -165,38 +163,6 @@ TEST(Integration, SlackAbsorbsColocationSlowdownAtLowLoad)
     EXPECT_GT(tolerable, slowdown_factor);
 }
 
-TEST(Integration, MonitorDrivesControllerOnLoadSwing)
-{
-    // Synthetic day: low load -> B-mode; spike -> Q-mode/baseline; the
-    // controller reprograms the partition registers accordingly.
-    HierarchyConfig hcfg;
-    hcfg.llcWayPartition = {8, 8};
-    MemoryHierarchy mem(hcfg);
-    BranchUnit bp;
-    SmtCore core(CoreParams{}, mem, bp);
-    StretchController ctl(core, 0);
-    MonitorConfig mc;
-    mc.qosTarget = 100.0;
-    mc.windowRequests = 4;
-    Cpi2Monitor mon(mc);
-
-    auto step = [&](double tail) {
-        MonitorDecision d = mon.evaluateTail(tail);
-        ctl.engage(d.mode);
-        return d;
-    };
-    step(20.0);
-    EXPECT_EQ(ctl.mode(), StretchMode::BatchBoost);
-    EXPECT_EQ(core.rob().limit(1), 136u);
-    step(120.0);
-    EXPECT_EQ(ctl.mode(), StretchMode::QosBoost);
-    EXPECT_EQ(core.rob().limit(0), 136u);
-    step(70.0);
-    step(20.0);
-    EXPECT_EQ(ctl.mode(), StretchMode::BatchBoost);
-    EXPECT_GE(ctl.modeChanges(), 3u);
-}
-
 TEST(Integration, MatchedSamplingAcrossCoRunners)
 {
     // Section V-C: the same sampling points are used across colocations —
@@ -213,6 +179,29 @@ TEST(Integration, MatchedSamplingAcrossCoRunners)
     EXPECT_GE(a.stats[0].committedOps, quota);
     EXPECT_GE(b.stats[0].committedOps, quota);
     EXPECT_NE(a.totalCycles, b.totalCycles);
+}
+
+TEST(LsLsColocation, SkewHelpsHighLoadServiceAgainstLowLoadService)
+{
+    // Section IV-D, "Colocation options": two latency-sensitive threads,
+    // one at high load (thread 0) and one at low load (thread 1) — the
+    // skewed configuration should preserve the loaded service's
+    // performance at a cost borne by the idle-ish one.
+    sim::RunConfig cfg;
+    cfg.samples = 2;
+    cfg.warmupOps = 4000;
+    cfg.measureOps = 12000;
+    cfg.workload0 = "web_search";
+    cfg.workload1 = "data_serving";
+    sim::RunResult equal = sim::run(cfg);
+
+    cfg.rob.kind = sim::RobConfigKind::Asymmetric;
+    cfg.rob.limit0 = 136; // loaded service gets the bulk
+    cfg.rob.limit1 = 56;
+    sim::RunResult skewed = sim::run(cfg);
+
+    EXPECT_GE(skewed.uipc[0], equal.uipc[0] * 0.99);
+    EXPECT_LT(skewed.uipc[1], equal.uipc[1] * 1.02);
 }
 
 } // namespace

@@ -1,132 +1,17 @@
 /**
  * @file
- * Unit tests for the Stretch control plane: the mode register encoding,
- * the StretchController (partition programming + mode-change flush), and
- * the CPI2-style monitor's decision ladder.
+ * Unit tests for the Stretch control plane: the CPI2-style monitor's
+ * decision ladder.
  */
 
 #include <gtest/gtest.h>
 
 #include "qos/cpi2_monitor.h"
-#include "qos/stretch_controller.h"
-#include "workload/generator.h"
 
 namespace stretch
 {
 namespace
 {
-
-struct Machine
-{
-    Machine()
-        : mem([] {
-              HierarchyConfig cfg;
-              cfg.llcWayPartition = {8, 8};
-              return cfg;
-          }()),
-          core(CoreParams{}, mem, bp)
-    {
-    }
-    MemoryHierarchy mem;
-    BranchUnit bp;
-    SmtCore core;
-};
-
-TEST(ModeRegister, EncodeDecode)
-{
-    StretchModeRegister reg;
-    EXPECT_EQ(reg.decode(), StretchMode::Baseline);
-    reg.write(StretchModeRegister::encode(StretchMode::BatchBoost));
-    EXPECT_EQ(reg.decode(), StretchMode::BatchBoost);
-    EXPECT_EQ(reg.read(), 0x1);
-    reg.write(StretchModeRegister::encode(StretchMode::QosBoost));
-    EXPECT_EQ(reg.decode(), StretchMode::QosBoost);
-    EXPECT_EQ(reg.read(), 0x3);
-    reg.write(StretchModeRegister::encode(StretchMode::Baseline));
-    EXPECT_EQ(reg.decode(), StretchMode::Baseline);
-}
-
-TEST(ModeRegister, UndefinedBitsMasked)
-{
-    StretchModeRegister reg;
-    reg.write(0xff);
-    EXPECT_EQ(reg.read(), 0x3);
-    // B/Q bit without the S-bit means Stretch is disengaged.
-    reg.write(0x2);
-    EXPECT_EQ(reg.decode(), StretchMode::Baseline);
-}
-
-TEST(Controller, BModeProgramsSkewAndLsq)
-{
-    Machine m;
-    StretchController ctl(m.core, 0, {56, 136}, {136, 56});
-    ctl.engage(StretchMode::BatchBoost);
-    EXPECT_EQ(m.core.rob().limit(0), 56u);
-    EXPECT_EQ(m.core.rob().limit(1), 136u);
-    // LSQ managed in proportion to the ROB (64 total, 192 ROB -> 1:3).
-    EXPECT_EQ(m.core.lsq().limit(0), 56u / 3);
-    EXPECT_EQ(m.core.lsq().limit(1), 136u / 3);
-}
-
-TEST(Controller, QModeMirrors)
-{
-    Machine m;
-    StretchController ctl(m.core, 0);
-    ctl.engage(StretchMode::QosBoost);
-    EXPECT_EQ(m.core.rob().limit(0), 136u);
-    EXPECT_EQ(m.core.rob().limit(1), 56u);
-}
-
-TEST(Controller, BaselineRestoresEqualPartition)
-{
-    Machine m;
-    StretchController ctl(m.core, 0);
-    ctl.engage(StretchMode::BatchBoost);
-    ctl.engage(StretchMode::Baseline);
-    EXPECT_EQ(m.core.rob().limit(0), 96u);
-    EXPECT_EQ(m.core.rob().limit(1), 96u);
-    EXPECT_EQ(m.core.lsq().limit(0), 32u);
-}
-
-TEST(Controller, ModeChangeFlushesPipeline)
-{
-    Machine m;
-    SynthProfile p;
-    p.name = "t";
-    p.loadFrac = 0.2;
-    p.codeBytes = 4096;
-    TraceGenerator gen(p, 1, 0);
-    m.core.attachThread(0, &gen);
-    m.core.run(3000); // past the cold I-side misses
-    ASSERT_GT(m.core.robOccupancy(0), 0u);
-    StretchController ctl(m.core, 0);
-    ctl.engage(StretchMode::BatchBoost);
-    EXPECT_EQ(m.core.robOccupancy(0), 0u); // squashed
-    EXPECT_EQ(ctl.modeChanges(), 1u);
-}
-
-TEST(Controller, ReengageSameModeIsNoOp)
-{
-    Machine m;
-    StretchController ctl(m.core, 0);
-    ctl.engage(StretchMode::BatchBoost);
-    ctl.engage(StretchMode::BatchBoost);
-    EXPECT_EQ(ctl.modeChanges(), 1u);
-}
-
-TEST(Controller, LsThreadReassignmentMirrorsLimits)
-{
-    // Either hardware thread can host the LS software thread
-    // (Section IV-D).
-    Machine m;
-    StretchController ctl(m.core, 0);
-    ctl.engage(StretchMode::BatchBoost);
-    EXPECT_EQ(m.core.rob().limit(0), 56u);
-    ctl.setLsThread(1);
-    EXPECT_EQ(m.core.rob().limit(1), 56u);
-    EXPECT_EQ(m.core.rob().limit(0), 136u);
-    EXPECT_EQ(ctl.lsThread(), 1);
-}
 
 MonitorConfig
 monitorConfig()
@@ -275,6 +160,8 @@ TEST(Monitor, EvaluateTailDirectFeed)
     Cpi2Monitor mon(monitorConfig());
     EXPECT_EQ(mon.evaluateTail(10.0).mode, StretchMode::BatchBoost);
     EXPECT_EQ(mon.evaluateTail(120.0).mode, StretchMode::QosBoost);
+    mon.evaluateTail(70.0);
+    EXPECT_EQ(mon.evaluateTail(20.0).mode, StretchMode::BatchBoost);
 }
 
 TEST(Monitor, CpiOutlierFastPathsThrottle)
