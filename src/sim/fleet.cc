@@ -1008,22 +1008,6 @@ dispatchRequests(const DispatchConfig &cfg)
     return out;
 }
 
-DispatchOutcome
-dispatchRequests(const std::vector<double> &serviceRatePerMs,
-                 PlacementPolicy policy, std::uint64_t requests,
-                 double arrivalRatePerMs, std::uint64_t seed)
-{
-    DispatchConfig cfg;
-    cfg.rates.reserve(serviceRatePerMs.size());
-    for (double rate : serviceRatePerMs)
-        cfg.rates.push_back(ModeRates::flat(rate));
-    cfg.policy = policy;
-    cfg.requests = requests;
-    cfg.arrivalRatePerMs = arrivalRatePerMs;
-    cfg.seed = seed;
-    return dispatchRequests(cfg);
-}
-
 FleetResult
 runFleet(const FleetConfig &cfg)
 {

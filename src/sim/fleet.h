@@ -476,17 +476,6 @@ struct DispatchOutcome
 DispatchOutcome dispatchRequests(const DispatchConfig &cfg);
 
 /**
- * Compatibility entry point: Poisson arrivals, exponential demands, and a
- * static Baseline mode on every core (rates are mode-independent).
- * Exposed separately from runFleet so placement policies are
- * unit-testable without running microarchitectural simulations.
- */
-DispatchOutcome dispatchRequests(const std::vector<double> &serviceRatePerMs,
-                                 PlacementPolicy policy,
-                                 std::uint64_t requests,
-                                 double arrivalRatePerMs, std::uint64_t seed);
-
-/**
  * Per-slot physical core parameters for heterogeneous (big/little)
  * fleets. A zero field keeps the corresponding value from the slot's
  * `RunConfig` (sizes) or the fleet-wide `ModeControlConfig` (skews).

@@ -133,20 +133,38 @@ TEST(FleetDecorrelation, HomogeneousCoresGetDistinctSeeds)
 
 // ---- Placement-policy unit tests over fixed capacities ----------------
 
+/** Mode-independent capacities: every mode serves at the given rate. */
+std::vector<ModeRates>
+flatRates(const std::vector<double> &rates)
+{
+    std::vector<ModeRates> out;
+    for (double rate : rates)
+        out.push_back(ModeRates::flat(rate));
+    return out;
+}
+
 TEST(Placement, RoundRobinSpreadsEvenly)
 {
-    DispatchOutcome out = dispatchRequests({1.0, 1.0, 1.0, 1.0},
-                                           PlacementPolicy::RoundRobin,
-                                           4000, 2.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({1.0, 1.0, 1.0, 1.0});
+    cfg.policy = PlacementPolicy::RoundRobin;
+    cfg.requests = 4000;
+    cfg.arrivalRatePerMs = 2.0;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     for (std::uint64_t placed : out.placed)
         EXPECT_EQ(placed, 1000u);
 }
 
 TEST(Placement, RoundRobinSkipsNonServingCores)
 {
-    DispatchOutcome out = dispatchRequests({1.0, 0.0, 1.0},
-                                           PlacementPolicy::RoundRobin,
-                                           2000, 1.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({1.0, 0.0, 1.0});
+    cfg.policy = PlacementPolicy::RoundRobin;
+    cfg.requests = 2000;
+    cfg.arrivalRatePerMs = 1.0;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_EQ(out.placed[0], 1000u);
     EXPECT_EQ(out.placed[1], 0u);
     EXPECT_EQ(out.placed[2], 1000u);
@@ -156,9 +174,13 @@ TEST(Placement, LeastLoadedSendsMoreWorkToFasterCores)
 {
     // A 4x faster core drains its backlog 4x quicker, so shortest-queue
     // placement must route it a clear majority of the stream.
-    DispatchOutcome out = dispatchRequests({4.0, 1.0},
-                                           PlacementPolicy::LeastLoaded,
-                                           5000, 4.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({4.0, 1.0});
+    cfg.policy = PlacementPolicy::LeastLoaded;
+    cfg.requests = 5000;
+    cfg.arrivalRatePerMs = 4.0;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_GT(out.placed[0], out.placed[1]);
     EXPECT_GT(out.placed[0], 5000u * 6 / 10);
 }
@@ -168,45 +190,60 @@ TEST(Placement, QosAwareAvoidsSlowCoresAtLowLoad)
     // At trivial load queues are almost always empty; predicted latency
     // is then demand/rate, which the fast core wins. The slow core only
     // sees the rare request arriving into a momentary backlog.
-    DispatchOutcome out = dispatchRequests({4.0, 1.0},
-                                           PlacementPolicy::QosAware,
-                                           1000, 0.1, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({4.0, 1.0});
+    cfg.policy = PlacementPolicy::QosAware;
+    cfg.requests = 1000;
+    cfg.arrivalRatePerMs = 0.1;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_GT(out.placed[0], 950u);
     EXPECT_LT(out.placed[1], 50u);
 }
 
 TEST(Placement, QosAwareBeatsRoundRobinTailOnSkewedFleet)
 {
-    const std::vector<double> rates{4.0, 1.0, 1.0, 0.5};
-    DispatchOutcome rr = dispatchRequests(rates, PlacementPolicy::RoundRobin,
-                                          8000, 3.0, 7);
-    DispatchOutcome qos = dispatchRequests(rates, PlacementPolicy::QosAware,
-                                           8000, 3.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({4.0, 1.0, 1.0, 0.5});
+    cfg.policy = PlacementPolicy::RoundRobin;
+    cfg.requests = 8000;
+    cfg.arrivalRatePerMs = 3.0;
+    cfg.seed = 7;
+    DispatchOutcome rr = dispatchRequests(cfg);
+    cfg.policy = PlacementPolicy::QosAware;
+    DispatchOutcome qos = dispatchRequests(cfg);
     EXPECT_LT(qos.latencyMs.p99, rr.latencyMs.p99);
     EXPECT_LT(qos.latencyMs.median, rr.latencyMs.median);
 }
 
 TEST(Placement, DispatchIsDeterministicInSeed)
 {
-    const std::vector<double> rates{2.0, 1.0};
-    DispatchOutcome a = dispatchRequests(rates, PlacementPolicy::LeastLoaded,
-                                         3000, 2.0, 99);
-    DispatchOutcome b = dispatchRequests(rates, PlacementPolicy::LeastLoaded,
-                                         3000, 2.0, 99);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({2.0, 1.0});
+    cfg.policy = PlacementPolicy::LeastLoaded;
+    cfg.requests = 3000;
+    cfg.arrivalRatePerMs = 2.0;
+    cfg.seed = 99;
+    DispatchOutcome a = dispatchRequests(cfg);
+    DispatchOutcome b = dispatchRequests(cfg);
     EXPECT_EQ(a.placed, b.placed);
     EXPECT_EQ(a.latencyMs.p99, b.latencyMs.p99);
     EXPECT_EQ(a.elapsedMs, b.elapsedMs);
 
-    DispatchOutcome c = dispatchRequests(rates, PlacementPolicy::LeastLoaded,
-                                         3000, 2.0, 100);
+    cfg.seed = 100;
+    DispatchOutcome c = dispatchRequests(cfg);
     EXPECT_NE(a.latencyMs.median, c.latencyMs.median);
 }
 
 TEST(Placement, AutoArrivalRateIsSeventyPercentOfCapacity)
 {
-    DispatchOutcome out = dispatchRequests({2.0, 3.0},
-                                           PlacementPolicy::RoundRobin,
-                                           100, 0.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({2.0, 3.0});
+    cfg.policy = PlacementPolicy::RoundRobin;
+    cfg.requests = 100;
+    cfg.arrivalRatePerMs = 0.0;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_DOUBLE_EQ(out.offeredRatePerMs, 0.7 * 5.0);
 }
 
@@ -224,25 +261,32 @@ TEST(Placement, PolicyNamesAreStable)
 
 TEST(Placement, PowerOfTwoIsDeterministicInSeed)
 {
-    const std::vector<double> rates{2.0, 1.0, 1.0, 0.5};
-    DispatchOutcome a = dispatchRequests(rates, PlacementPolicy::PowerOfTwo,
-                                         4000, 2.5, 11);
-    DispatchOutcome b = dispatchRequests(rates, PlacementPolicy::PowerOfTwo,
-                                         4000, 2.5, 11);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({2.0, 1.0, 1.0, 0.5});
+    cfg.policy = PlacementPolicy::PowerOfTwo;
+    cfg.requests = 4000;
+    cfg.arrivalRatePerMs = 2.5;
+    cfg.seed = 11;
+    DispatchOutcome a = dispatchRequests(cfg);
+    DispatchOutcome b = dispatchRequests(cfg);
     EXPECT_EQ(a.placed, b.placed);
     EXPECT_EQ(a.latencyMs.p99, b.latencyMs.p99);
     EXPECT_EQ(a.elapsedMs, b.elapsedMs);
 
-    DispatchOutcome c = dispatchRequests(rates, PlacementPolicy::PowerOfTwo,
-                                         4000, 2.5, 12);
+    cfg.seed = 12;
+    DispatchOutcome c = dispatchRequests(cfg);
     EXPECT_NE(a.placed, c.placed);
 }
 
 TEST(Placement, PowerOfTwoSpreadsAndSkipsNonServingCores)
 {
-    DispatchOutcome out = dispatchRequests({1.0, 0.0, 1.0, 1.0},
-                                           PlacementPolicy::PowerOfTwo,
-                                           6000, 2.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({1.0, 0.0, 1.0, 1.0});
+    cfg.policy = PlacementPolicy::PowerOfTwo;
+    cfg.requests = 6000;
+    cfg.arrivalRatePerMs = 2.0;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_EQ(out.placed[1], 0u);
     // Load-aware two-choice placement keeps every serving core busy.
     for (std::size_t c : {0u, 2u, 3u})
@@ -251,19 +295,27 @@ TEST(Placement, PowerOfTwoSpreadsAndSkipsNonServingCores)
 
 TEST(Placement, PowerOfTwoBeatsRoundRobinTailOnSkewedFleet)
 {
-    const std::vector<double> rates{4.0, 1.0, 1.0, 0.5};
-    DispatchOutcome rr = dispatchRequests(rates, PlacementPolicy::RoundRobin,
-                                          8000, 3.0, 7);
-    DispatchOutcome p2 = dispatchRequests(rates, PlacementPolicy::PowerOfTwo,
-                                          8000, 3.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({4.0, 1.0, 1.0, 0.5});
+    cfg.policy = PlacementPolicy::RoundRobin;
+    cfg.requests = 8000;
+    cfg.arrivalRatePerMs = 3.0;
+    cfg.seed = 7;
+    DispatchOutcome rr = dispatchRequests(cfg);
+    cfg.policy = PlacementPolicy::PowerOfTwo;
+    DispatchOutcome p2 = dispatchRequests(cfg);
     EXPECT_LT(p2.latencyMs.p99, rr.latencyMs.p99);
 }
 
 TEST(Placement, LeastLoadedSkipsZeroRateCores)
 {
-    DispatchOutcome out = dispatchRequests({2.0, 0.0, 1.0},
-                                           PlacementPolicy::LeastLoaded,
-                                           4000, 2.0, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({2.0, 0.0, 1.0});
+    cfg.policy = PlacementPolicy::LeastLoaded;
+    cfg.requests = 4000;
+    cfg.arrivalRatePerMs = 2.0;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_EQ(out.placed[1], 0u);
     EXPECT_EQ(out.placed[0] + out.placed[2], 4000u);
     // Heterogeneous rates: the faster core drains quicker and takes more.
@@ -272,18 +324,26 @@ TEST(Placement, LeastLoadedSkipsZeroRateCores)
 
 TEST(Placement, QosAwareSkipsZeroRateCores)
 {
-    DispatchOutcome out = dispatchRequests({0.0, 3.0, 1.0},
-                                           PlacementPolicy::QosAware,
-                                           4000, 2.5, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({0.0, 3.0, 1.0});
+    cfg.policy = PlacementPolicy::QosAware;
+    cfg.requests = 4000;
+    cfg.arrivalRatePerMs = 2.5;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_EQ(out.placed[0], 0u);
     EXPECT_GT(out.placed[1], out.placed[2]);
 }
 
 TEST(Placement, TailSummaryCarriesP999)
 {
-    DispatchOutcome out = dispatchRequests({1.0, 1.0},
-                                           PlacementPolicy::LeastLoaded,
-                                           5000, 1.5, 7);
+    DispatchConfig cfg;
+    cfg.rates = flatRates({1.0, 1.0});
+    cfg.policy = PlacementPolicy::LeastLoaded;
+    cfg.requests = 5000;
+    cfg.arrivalRatePerMs = 1.5;
+    cfg.seed = 7;
+    DispatchOutcome out = dispatchRequests(cfg);
     EXPECT_GE(out.latencyMs.p999, out.latencyMs.p99);
     EXPECT_LE(out.latencyMs.p999, out.latencyMs.max);
     EXPECT_GT(out.latencyMs.p999, 0.0);
