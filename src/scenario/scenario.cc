@@ -91,7 +91,6 @@ calibrate(const Scenario &s)
     probe.requests = s.calibrationRequests;
     probe.opsPerRequest = s.opsPerRequest;
     probe.seed = s.seed;
-    probe.reuseOperatingPoints = s.reuseOperatingPoints;
     probe.threads = s.threads;
     Calibration cal;
     try {
@@ -410,13 +409,6 @@ ScenarioBuilder::threads(unsigned n)
 }
 
 ScenarioBuilder &
-ScenarioBuilder::reuseOperatingPoints(bool on)
-{
-    draft.reuseOperatingPoints = on;
-    return *this;
-}
-
-ScenarioBuilder &
 ScenarioBuilder::calibrationRequests(std::uint64_t n)
 {
     draft.calibrationRequests = n;
@@ -686,7 +678,6 @@ lowerQuiet(const Scenario &s)
     fleet.perClassArrivals = s.perClassArrivals;
     fleet.classRouting = s.classRouting;
     fleet.control = s.control;
-    fleet.reuseOperatingPoints = s.reuseOperatingPoints;
     fleet.threads = s.threads;
 
     if (!s.needsCalibration()) {

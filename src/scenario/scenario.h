@@ -148,7 +148,6 @@ struct Scenario
     double opsPerRequest = 500000.0; ///< LS request length (instructions)
     std::uint64_t seed = 42;
     unsigned threads = 0; ///< worker threads (0 = hardware)
-    bool reuseOperatingPoints = true;
     /** Stream length of the calibration probe (when one is needed). */
     std::uint64_t calibrationRequests = 6000;
     /// @}
@@ -281,7 +280,6 @@ class ScenarioBuilder
      *  cores(n, base) call (which otherwise adopts base.seed). */
     ScenarioBuilder &seed(std::uint64_t s);
     ScenarioBuilder &threads(unsigned n);
-    ScenarioBuilder &reuseOperatingPoints(bool on);
     ScenarioBuilder &calibrationRequests(std::uint64_t n);
     /// @}
 

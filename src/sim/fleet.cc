@@ -1074,11 +1074,7 @@ runFleet(const FleetConfig &cfg)
     // dispatcher knows the capacity each control action buys. Repeat
     // measurements of identical configurations are answered from the
     // process-wide OperatingPointCache.
-    auto measure = [&](const RunConfig &rc) -> RunResult {
-        if (cfg.reuseOperatingPoints)
-            return OperatingPointCache::instance().measure(rc);
-        return run(rc);
-    };
+    OperatingPointCache &cache = OperatingPointCache::instance();
     std::vector<RunResult> pointResults;
     if (dynamic) {
         pointResults.resize(n * points);
@@ -1102,14 +1098,14 @@ runFleet(const FleetConfig &cfg)
                 rc.throttleRatio = mc.throttleFetchRatio;
                 rc.throttledThread = 1;
             }
-            pointResults[task] = measure(rc);
+            pointResults[task] = cache.measure(rc);
         });
         for (std::size_t i = 0; i < n; ++i)
             fleet.cores[i] =
                 pointResults[i * points + modeIndex(StretchMode::Baseline)];
     } else {
         parallelFor(cfg.threads, n, [&](std::size_t i) {
-            fleet.cores[i] = measure(slotConfig(i));
+            fleet.cores[i] = cache.measure(slotConfig(i));
         });
     }
 

@@ -509,15 +509,6 @@ struct FleetConfig : DispatchSpec
     /** Mean latency-sensitive request length in committed instructions. */
     double opsPerRequest = 500000.0;
 
-    /**
-     * Memoise operating-point measurements in the process-wide
-     * `OperatingPointCache`: a second runFleet over identical cores
-     * skips the microarchitectural re-simulation (results are
-     * bit-identical either way — `sim::run` is a pure function of its
-     * config). Disable to force fresh measurements.
-     */
-    bool reuseOperatingPoints = true;
-
     /** Pool workers for per-core simulations: 1 = serial, 0 = hardware. */
     unsigned threads = 0;
 };

@@ -106,15 +106,6 @@ TEST(OperatingPointCache, RunFleetSkipsRemeasuringIdenticalSlots)
                   second.modeRates[c].throttledLs);
     }
     EXPECT_EQ(first.dispatch.latencyMs.p99, second.dispatch.latencyMs.p99);
-
-    // Opting out forces fresh measurements.
-    FleetConfig fresh = fleet;
-    fresh.reuseOperatingPoints = false;
-    std::uint64_t hits_before = cache.hits();
-    FleetResult third = runFleet(fresh);
-    EXPECT_EQ(cache.hits(), hits_before);
-    EXPECT_EQ(cache.misses(), misses_after_first);
-    EXPECT_EQ(third.dispatch.latencyMs.p99, first.dispatch.latencyMs.p99);
 }
 
 TEST(OperatingPointCache, DiskRoundTripIsBitIdentical)
