@@ -165,20 +165,23 @@ TEST(OperatingPointCache, CorruptOrStaleFileLoadsNothing)
     EXPECT_EQ(absent.status, CacheLoadOutcome::Status::FileAbsent);
     EXPECT_EQ(absent.added, 0u);
 
-    // Stale format version: nothing loads.
+    // Stale format version, a future one or the previous one: nothing
+    // loads.
     std::string stale = ::testing::TempDir() + "op_point_cache_stale.txt";
-    {
-        std::ifstream in(good);
-        std::ofstream out(stale, std::ios::trunc);
-        std::string line;
-        std::getline(in, line);
-        out << "stretch-oppoint-cache 99999\n";
-        while (std::getline(in, line))
-            out << line << '\n';
+    for (int version : {99999, OperatingPointCache::formatVersion - 1}) {
+        {
+            std::ifstream in(good);
+            std::ofstream out(stale, std::ios::trunc);
+            std::string line;
+            std::getline(in, line);
+            out << "stretch-oppoint-cache " << version << '\n';
+            while (std::getline(in, line))
+                out << line << '\n';
+        }
+        CacheLoadOutcome staleOut = cache.loadFrom(stale);
+        EXPECT_EQ(staleOut.status, CacheLoadOutcome::Status::BadFormat);
+        EXPECT_EQ(staleOut.added, 0u);
     }
-    CacheLoadOutcome staleOut = cache.loadFrom(stale);
-    EXPECT_EQ(staleOut.status, CacheLoadOutcome::Status::BadFormat);
-    EXPECT_EQ(staleOut.added, 0u);
 
     // Truncated body: the whole load is discarded, not half-admitted.
     std::string corrupt = ::testing::TempDir() + "op_point_cache_bad.txt";
