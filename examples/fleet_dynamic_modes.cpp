@@ -1,15 +1,14 @@
 /**
  * @file
  * Dynamic Stretch quickstart: close the loop between the request
- * dispatcher and the per-core mode register.
+ * dispatcher and each core's Stretch mode.
  *
  * A 4-core fleet colocates web_search with mcf. Each core's LS capacity
  * is measured in all three operating points (Baseline / B-mode / Q-mode),
  * then the same bursty request stream is dispatched under three control
- * policies — mode register held at Baseline, backlog hysteresis, and the
- * CPI²-monitor slack ladder — each serving core flipping its own mode
- * register at control-quantum boundaries, paying the flush cost on every
- * change.
+ * policies — mode held at Baseline, backlog hysteresis, and the
+ * CPI²-monitor slack ladder — each serving core switching its own mode
+ * at control-quantum boundaries, paying the flush cost on every change.
  *
  * Written against the scenario API: the rack, the bursty traffic, and
  * the relative QoS target live in one scenario; a one-axis sweep runs
@@ -84,7 +83,7 @@ main()
     sweep.over("control",
                {{"static baseline",
                  [](scenario::Scenario &s) {
-                     // The mode register is written once and never again.
+                     // The mode is set once and never changed.
                      s.control.kind = sim::ModePolicyKind::Static;
                  }},
                 {"backlog-hysteresis",

@@ -6,7 +6,7 @@
  * co-runners riding along. The class-aware router pins search to the big
  * cores and keeps analytics off them; per-class CPI²-style monitors walk
  * the Stretch ladder against each class's own SLO, so the tightest class
- * on a core drives its mode register and co-runner throttle.
+ * on a core drives its mode and co-runner throttle.
  *
  * Written against the scenario API. Three runs over one scenario:
  * class-aware routing vs. class-blind round-robin on the same shared
