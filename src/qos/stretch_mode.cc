@@ -7,11 +7,11 @@ const char *
 toString(StretchMode mode)
 {
     switch (mode) {
-      case StretchMode::Baseline:
+    case StretchMode::Baseline:
         return "Baseline";
-      case StretchMode::BatchBoost:
+    case StretchMode::BatchBoost:
         return "B-mode";
-      case StretchMode::QosBoost:
+    case StretchMode::QosBoost:
         return "Q-mode";
     }
     return "?";
