@@ -143,7 +143,7 @@ struct ModeRates
         }
     }
 
-    /** Uniform rates: a core whose capacity ignores the mode register. */
+    /** Uniform rates: a core whose capacity ignores its mode. */
     static ModeRates
     flat(double rate_per_ms)
     {
@@ -205,7 +205,7 @@ struct CoreModeStats
 {
     /** Simulated time spent in each mode, indexed by modeIndex(). */
     std::array<double, numStretchModes> residencyMs{};
-    /** Mode-register writes that changed the mode (each cost a flush). */
+    /** Mode changes (each costs `flushCostMs` of capacity). */
     std::uint64_t transitions = 0;
     /** Service capacity consumed by mode-change flushes. */
     double flushMs = 0.0;
@@ -323,7 +323,7 @@ struct DispatchSpec : TrafficSpec
      * Per-core dynamic Stretch mode control. In a fleet run, any
      * non-Static policy (or a non-Baseline static mode) makes runFleet
      * measure each core's LS capacity under all three operating points,
-     * so the dispatcher can retime requests as the mode register flips.
+     * so the dispatcher can retime requests as a core's mode changes.
      */
     ModeControlConfig control;
 
