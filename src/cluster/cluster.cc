@@ -46,6 +46,17 @@ constexpr std::uint64_t kRingStream = 0x8119;     ///< hash-ring point salt
 constexpr std::uint64_t kFlowKeyStream = 0xf10a;  ///< class flow-key salt
 /// @}
 
+/** Latency a failover pays re-steering queued work off a dead node. */
+constexpr double kFailoverDelayMs = 0.5;
+
+/** FlowAffinity: hash-ring points per node (more points = smoother
+ *  class spread). */
+constexpr unsigned kVirtualNodesPerNode = 16;
+
+/** FlowAffinity/ClassAware: spill off the preferred node when its
+ *  backlog signal exceeds this many milliseconds. */
+constexpr double kSpilloverBacklogMs = 8.0;
+
 /** One request sitting in a node's fluid FCFS queue, not yet started. */
 struct Pending
 {
@@ -59,8 +70,8 @@ struct Pending
 /**
  * The ingress's fluid view of one node: backlog in milliseconds of work
  * draining at the measured aggregate capacity, plus the FIFO of not-yet-
- * started requests (the migratable/failover-able set). The backlog is
- * lazily drained at event times; `workMs` is the backlog at `lastMs`.
+ * started requests (the failover-able set). The backlog is lazily
+ * drained at event times; `workMs` is the backlog at `lastMs`.
  */
 struct NodeView
 {
@@ -85,11 +96,11 @@ backlogAt(const NodeView &nv, double t)
 }
 
 /**
- * Advance @p nv's lazy drain to time @p t. Migration and failover can
- * enqueue work slightly in the future (steering cost), so a later event
- * at an earlier time is a no-op rather than a rewind — the fluid model
- * is a steering signal, not the engine, and the error is bounded by the
- * steering cost.
+ * Advance @p nv's lazy drain to time @p t. Failover enqueues work
+ * slightly in the future (the failover delay), so a later event at an
+ * earlier time is a no-op rather than a rewind — the fluid model is a
+ * steering signal, not the engine, and the error is bounded by the
+ * failover delay.
  */
 void
 drainTo(NodeView &nv, double t)
@@ -101,8 +112,7 @@ drainTo(NodeView &nv, double t)
 }
 
 /** Flush every fluid-started request to the node's final stream (its
- *  steering is now settled: started work is neither migratable nor
- *  failover-able). */
+ *  steering is now settled: started work cannot fail over). */
 void
 flushStarted(NodeView &nv, double t)
 {
@@ -140,8 +150,8 @@ struct SteeringOutput
 /**
  * Phase 1: the serial ingress simulation. Synthesizes the cluster-wide
  * arrival stream, applies node actions at exact timestamps, steers each
- * request by the configured policy over stale backlog signals, migrates
- * stragglers, and fails over queued work off dead nodes.
+ * request by the configured policy over stale backlog signals, and
+ * fails over queued work off dead nodes.
  */
 SteeringOutput
 steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
@@ -213,12 +223,10 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             ing.signalDelayMs <= 0.0 ? 0.0 : t - lastRefreshMs);
     };
     /** Live node with the smallest signal (ties to the lowest id). */
-    auto leastSignal = [&](double t, std::size_t excluding) {
+    auto leastSignal = [&](double t) {
         std::size_t best = static_cast<std::size_t>(-1);
         double bestSig = 0.0;
         for (std::size_t j : live) {
-            if (j == excluding)
-                continue;
             const double s = signalOf(j, t);
             if (best == static_cast<std::size_t>(-1) || s < bestSig) {
                 best = j;
@@ -228,14 +236,14 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         return best;
     };
 
-    // FlowAffinity hash ring: virtualNodesPerNode points per node, point
+    // FlowAffinity hash ring: kVirtualNodesPerNode points per node, point
     // position = deriveSeed(seed, ring stream, node, replica). The class
     // flow key hashes onto the ring and walks clockwise to its home.
     std::vector<std::pair<std::uint64_t, std::size_t>> ring;
     std::vector<std::uint64_t> flowKey;
     if (ing.policy == IngressPolicy::FlowAffinity) {
         for (std::size_t j = 0; j < n; ++j)
-            for (unsigned r = 0; r < ing.virtualNodesPerNode; ++r)
+            for (unsigned r = 0; r < kVirtualNodesPerNode; ++r)
                 ring.emplace_back(
                     util::deriveSeed(cfg.seed, kRingStream, j, r), j);
         std::sort(ring.begin(), ring.end());
@@ -314,7 +322,7 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             recordStaleness(t);
             const std::size_t d = ing.probes;
             if (d == 0 || d >= live.size()) {
-                return leastSignal(t, static_cast<std::size_t>(-1));
+                return leastSignal(t);
             }
             // d distinct candidates via a partial Fisher-Yates over the
             // live list; best (signal, id) wins.
@@ -356,7 +364,7 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             }
             STRETCH_ASSERT(home != static_cast<std::size_t>(-1),
                            "no live node on the affinity ring");
-            if (signalOf(home, t) <= ing.spilloverBacklogMs)
+            if (signalOf(home, t) <= kSpilloverBacklogMs)
                 return home;
             // Overloaded home: spill one hop to the next distinct live
             // node on the ring (affinity degrades gracefully instead of
@@ -388,13 +396,11 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
                 }
             }
             if (best != static_cast<std::size_t>(-1) &&
-                bestSig <= ing.spilloverBacklogMs)
+                bestSig <= kSpilloverBacklogMs)
                 return best;
             // Dead or saturated preferred set: spill anywhere live.
             ++so.stats.spillovers;
-            const std::size_t any =
-                leastSignal(t, static_cast<std::size_t>(-1));
-            return any != static_cast<std::size_t>(-1) ? any : best;
+            return leastSignal(t);
         }
         }
         return 0; // unreachable
@@ -428,9 +434,8 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             while (!nv.pending.empty()) {
                 Pending p = nv.pending.front();
                 nv.pending.pop_front();
-                const std::size_t dest =
-                    leastSignal(a.atMs, static_cast<std::size_t>(-1));
-                enqueue(nodes[dest], a.atMs + ing.failoverDelayMs,
+                const std::size_t dest = leastSignal(a.atMs);
+                enqueue(nodes[dest], a.atMs + kFailoverDelayMs,
                         p.origMs, p.demand, p.classId);
                 ++so.stats.failovers;
             }
@@ -471,33 +476,6 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
 
         refreshSignals(t);
 
-        // Straggler migration: at every arrival instant, each node's
-        // oldest still-queued request past the sojourn threshold is
-        // re-steered once to the least-loaded other node.
-        if (ing.migrateSojournMs > 0.0) {
-            for (std::size_t j : live) {
-                NodeView &nv = nodes[j];
-                flushStarted(nv, t);
-                if (nv.pending.empty())
-                    continue;
-                const Pending &front = nv.pending.front();
-                if (front.startMs <= t ||
-                    t - front.atMs <= ing.migrateSojournMs)
-                    continue;
-                const std::size_t dest = leastSignal(t, j);
-                if (dest == static_cast<std::size_t>(-1))
-                    continue; // single live node: nowhere to go
-                Pending p = front;
-                nv.pending.pop_front();
-                drainTo(nv, t);
-                nv.workMs =
-                    std::max(0.0, nv.workMs - p.demand / nv.capacity);
-                enqueue(nodes[dest], t + ing.migrationCostMs, p.origMs,
-                        p.demand, p.classId);
-                ++so.stats.migrations;
-            }
-        }
-
         const std::size_t target = steer(t, cls);
         enqueue(nodes[target], t, t, demand, cls);
         flushStarted(nodes[target], t);
@@ -515,8 +493,8 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
                 {p.atMs, p.classId, p.demand, p.atMs - p.origMs});
             nv.pending.pop_front();
         }
-        // Migration/failover insert future-timestamped records behind
-        // direct arrivals; the dispatcher requires time order.
+        // Failover inserts future-timestamped records behind direct
+        // arrivals; the dispatcher requires time order.
         std::stable_sort(nv.out.begin(), nv.out.end(),
                          [](const sim::InjectedArrival &a,
                             const sim::InjectedArrival &b) {
@@ -668,7 +646,6 @@ fillMetrics(obs::MetricRegistry &reg, const ClusterConfig &cfg,
     const IngressStats &ing = result.ingress;
     reg.gauge("cluster.nodes") = static_cast<double>(cfg.nodes.size());
     reg.counter("ingress.decisions") += ing.decisions;
-    reg.counter("ingress.migrations") += ing.migrations;
     reg.counter("ingress.failovers") += ing.failovers;
     reg.counter("ingress.spillovers") += ing.spillovers;
     reg.counter("ingress.signal_refreshes") += ing.signalRefreshes;
@@ -722,15 +699,6 @@ runCluster(const ClusterConfig &cfg)
     STRETCH_ASSERT(n >= 1, "a cluster needs at least one node");
     STRETCH_ASSERT(cfg.ingress.signalDelayMs >= 0.0,
                    "signal delay must be non-negative");
-    STRETCH_ASSERT(cfg.ingress.migrateSojournMs >= 0.0,
-                   "migration threshold must be non-negative");
-    STRETCH_ASSERT(cfg.ingress.migrationCostMs >= 0.0 &&
-                       cfg.ingress.failoverDelayMs >= 0.0,
-                   "steering costs must be non-negative");
-    STRETCH_ASSERT(cfg.ingress.virtualNodesPerNode >= 1,
-                   "the affinity ring needs at least one point per node");
-    STRETCH_ASSERT(cfg.ingress.spilloverBacklogMs > 0.0,
-                   "the spillover threshold must be positive");
     STRETCH_ASSERT(cfg.nodeTracers.empty() || cfg.nodeTracers.size() == n,
                    "nodeTracers must be empty or one per node");
     std::size_t failures = 0;

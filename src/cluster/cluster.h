@@ -22,12 +22,10 @@
  *     models every node as a fluid FCFS queue draining at its measured
  *     capacity and steers on *stale* backlog signals: queue signals
  *     refresh every `IngressConfig::signalDelayMs` (liveness is known
- *     immediately — health checks are fast, load telemetry is not). Optional
- *     straggler migration re-steers the oldest still-queued request of
- *     a node once it has waited past `migrateSojournMs`. Node-scoped
- *     incidents (`NodeAction`) fail or degrade nodes mid-stream with
- *     ingress re-steering of queued work. The output is one
- *     `sim::InjectedArrival` list per node plus `IngressStats`.
+ *     immediately — health checks are fast, load telemetry is not).
+ *     Node-scoped incidents (`NodeAction`) fail or degrade nodes
+ *     mid-stream with ingress re-steering of queued work. The output is
+ *     one `sim::InjectedArrival` list per node plus `IngressStats`.
  *  3. **Node execution (parallel).** Every node runs the full
  *     `sim::runFleet` — per-core microarchitectural operating points,
  *     discrete-event dispatch, mode control, telemetry — over its
@@ -41,7 +39,7 @@
  * exact `stats::TailRecorder` merges (associative histogram adds in
  * streaming mode, sample pooling in exact mode), per-class SLO
  * attainment re-derived from summed counts, and ingress metrics
- * (steering decisions, migrations, failovers, signal staleness).
+ * (steering decisions, failovers, spillovers, signal staleness).
  *
  * The fluid ingress model is an *approximation used only for steering
  * signals* — real latencies always come from the per-node discrete-
@@ -72,7 +70,8 @@ enum class IngressPolicy
     Jsq,
     /** Consistent-hash class→node pinning: every class has a home node
      *  on a hash ring; requests spill to the next live ring node when
-     *  the home is dead or its signal exceeds `spilloverBacklogMs`. */
+     *  the home is dead or its backlog signal is past the spillover
+     *  threshold. */
     FlowAffinity,
     /** Steer each class to the nodes whose measured capacity serves it
      *  best: classes ranked by SLO tightness get preferred node subsets
@@ -98,28 +97,6 @@ struct IngressConfig
      *  this many milliseconds old (0 = perfectly fresh). Node liveness
      *  is always known immediately. */
     double signalDelayMs = 1.0;
-
-    /** Straggler migration: a request still queued at its node after
-     *  waiting this long is re-steered to the least-loaded live node
-     *  (0 = migration off). Checked at arrival instants, oldest
-     *  queued request first; the age clock resets at the destination,
-     *  so a request never ping-pongs within one threshold window. */
-    double migrateSojournMs = 0.0;
-
-    /** Latency a migrated request pays in flight between nodes. */
-    double migrationCostMs = 0.5;
-
-    /** Latency a failover pays re-steering queued work off a dead
-     *  node. */
-    double failoverDelayMs = 0.5;
-
-    /** FlowAffinity: hash-ring points per node (more points = smoother
-     *  class spread). */
-    unsigned virtualNodesPerNode = 16;
-
-    /** FlowAffinity/ClassAware: spill off the preferred node when its
-     *  backlog signal exceeds this many milliseconds. */
-    double spilloverBacklogMs = 8.0;
 };
 
 /**
@@ -137,7 +114,7 @@ struct NodeAction
         ArrivalScale,
         /** Node `node` fails: the ingress marks it dead immediately,
          *  re-steers its still-queued requests to live nodes (each pays
-         *  `failoverDelayMs`), and routes nothing to it afterwards.
+         *  the failover delay), and routes nothing to it afterwards.
          *  Work already started drains (connection-drain semantics). */
         NodeFail,
         /** Node `node` serves at `value` x nominal capacity: the
@@ -204,12 +181,11 @@ ClusterConfig homogeneousCluster(unsigned n, const sim::FleetConfig &node);
 struct IngressStats
 {
     std::uint64_t decisions = 0;   ///< requests steered at arrival
-    std::uint64_t migrations = 0;  ///< straggler re-steers
     std::uint64_t failovers = 0;   ///< queued requests moved off dead nodes
     std::uint64_t spillovers = 0;  ///< affinity/class-aware off-home steers
     std::uint64_t signalRefreshes = 0; ///< backlog-signal refresh rounds
-    /** Requests finally delivered to each node (after migration and
-     *  failover), index-matched to the nodes. */
+    /** Requests finally delivered to each node (after failover),
+     *  index-matched to the nodes. */
     std::vector<std::uint64_t> steered;
     /** Measured aggregate service capacity per node (req/ms). */
     std::vector<double> capacityPerMs;

@@ -56,10 +56,4 @@ PartitionedResource::release(ThreadId tid)
     --usageReg[tid];
 }
 
-void
-PartitionedResource::releaseAll(ThreadId tid)
-{
-    usageReg[tid] = 0;
-}
-
 } // namespace stretch

@@ -71,9 +71,6 @@ class PartitionedResource
     /** Return one entry. */
     void release(ThreadId tid);
 
-    /** Drop a thread's whole allocation (pipeline flush). */
-    void releaseAll(ThreadId tid);
-
     /** Value of the usage register. */
     unsigned usage(ThreadId tid) const { return usageReg[tid]; }
 

@@ -67,7 +67,6 @@ class MetricRegistry
     {
         return counterMap;
     }
-    const std::map<std::string, double> &gauges() const { return gaugeMap; }
     const std::map<std::string, stats::StreamingTail> &tails() const
     {
         return tailMap;

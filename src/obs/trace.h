@@ -159,7 +159,6 @@ class EngineTracer
         procName = std::move(name);
     }
     std::int64_t pid() const { return pid_; }
-    const std::string &processName() const { return procName; }
 
     /** Every recorded event, in recording order. */
     const std::vector<TraceEvent> &events() const { return ev; }

@@ -8,27 +8,31 @@
 namespace stretch
 {
 
+namespace
+{
+
+/** Engage Q-mode (if provisioned) when tail > qmodeFraction * target. */
+constexpr double qmodeFraction = 0.95;
+
+/** Violating windows tolerated before throttling the co-runner. */
+constexpr unsigned violationsBeforeThrottle = 2;
+
+/** CPI history length for antagonist detection. */
+constexpr std::size_t cpiHistory = 64;
+
+} // namespace
+
 Cpi2Monitor::Cpi2Monitor(const MonitorConfig &cfg) : cfg(cfg)
 {
     STRETCH_ASSERT(cfg.qosTarget > 0.0, "QoS target must be positive");
     STRETCH_ASSERT(cfg.engageFraction < cfg.disengageFraction,
                    "engage threshold must sit below disengage threshold");
-    window.reserve(cfg.windowRequests);
 }
 
 void
 Cpi2Monitor::recordLatency(double latency)
 {
     window.push_back(latency);
-}
-
-MonitorDecision
-Cpi2Monitor::evaluateWindow()
-{
-    STRETCH_ASSERT(windowReady(), "evaluateWindow before window filled");
-    double tail = stats::percentile(window, cfg.tailPercentile);
-    window.clear();
-    return evaluateTail(tail);
 }
 
 MonitorDecision
@@ -66,7 +70,7 @@ Cpi2Monitor::evaluateTail(double tail)
         // antagonist directly, so the tolerance count is skipped.
         ++consecutiveViolations;
         d.mode = cfg.hasQMode ? StretchMode::QosBoost : StretchMode::Baseline;
-        if (consecutiveViolations > cfg.violationsBeforeThrottle ||
+        if (consecutiveViolations > violationsBeforeThrottle ||
             cpiOutlier()) {
             d.throttleCoRunner = true;
         }
@@ -81,10 +85,10 @@ Cpi2Monitor::evaluateTail(double tail)
               case StretchMode::BatchBoost:
                 // Hysteresis: stay in B-mode until slack shrinks.
                 if (tail > cfg.disengageFraction * cfg.qosTarget) {
-                    d.mode = cfg.hasQMode && tail > cfg.qmodeFraction *
-                                                        cfg.qosTarget
-                                 ? StretchMode::QosBoost
-                                 : StretchMode::Baseline;
+                    d.mode =
+                        cfg.hasQMode && tail > qmodeFraction * cfg.qosTarget
+                            ? StretchMode::QosBoost
+                            : StretchMode::Baseline;
                 }
                 break;
               case StretchMode::Baseline:
@@ -92,7 +96,7 @@ Cpi2Monitor::evaluateTail(double tail)
                 if (tail < cfg.engageFraction * cfg.qosTarget) {
                     d.mode = StretchMode::BatchBoost;
                 } else if (cfg.hasQMode &&
-                           tail > cfg.qmodeFraction * cfg.qosTarget) {
+                           tail > qmodeFraction * cfg.qosTarget) {
                     d.mode = StretchMode::QosBoost;
                 } else if (last.mode == StretchMode::QosBoost &&
                            tail < cfg.disengageFraction * cfg.qosTarget) {
@@ -113,7 +117,7 @@ void
 Cpi2Monitor::recordCpi(double cpi)
 {
     cpiSamples.push_back(cpi);
-    if (cpiSamples.size() > cfg.cpiHistory)
+    if (cpiSamples.size() > cpiHistory)
         cpiSamples.erase(cpiSamples.begin());
 }
 

@@ -51,19 +51,8 @@ struct MonitorConfig
     double engageFraction = 0.60;
     /** Leave B-mode when tail > disengageFraction * target (hysteresis). */
     double disengageFraction = 0.85;
-    /** Engage Q-mode (if provisioned) when tail > qmodeFraction * target. */
-    double qmodeFraction = 0.95;
     /** Provision a Q-mode configuration (optional per Section IV-B). */
     bool hasQMode = true;
-    /** Requests per decision window. Only request-count-driven callers
-     *  (windowReady() + evaluateWindow()) consult this; quantum-driven
-     *  controllers use evaluateWindowNow(), which evaluates whatever has
-     *  accumulated since the last boundary regardless of this knob. */
-    std::size_t windowRequests = 256;
-    /** Violating windows tolerated before throttling the co-runner. */
-    unsigned violationsBeforeThrottle = 2;
-    /** CPI history length for antagonist detection. */
-    std::size_t cpiHistory = 64;
 };
 
 /** Decision emitted at the end of a monitoring window. */
@@ -85,23 +74,14 @@ class Cpi2Monitor
     /** Record one request latency. */
     void recordLatency(double latency);
 
-    /** True once a full decision window has accumulated. */
-    bool windowReady() const { return window.size() >= cfg.windowRequests; }
-
-    /** Latencies accumulated in the current (possibly partial) window. */
+    /** Latencies accumulated in the current window. */
     std::size_t windowFill() const { return window.size(); }
 
     /**
-     * Evaluate the completed window and return the desired operating
-     * point; resets the window. Call only when windowReady().
-     */
-    MonitorDecision evaluateWindow();
-
-    /**
-     * Evaluate whatever has accumulated in the current window, full or
-     * not — for quantum-driven controllers that decide on a time boundary
-     * rather than a request-count boundary; resets the window. Returns
-     * the previous decision unchanged when the window is empty.
+     * Evaluate whatever has accumulated in the current window — the
+     * fleet decides on control-quantum boundaries, not request counts —
+     * and return the desired operating point; resets the window.
+     * Returns the previous decision unchanged when the window is empty.
      */
     MonitorDecision evaluateWindowNow();
 
@@ -146,9 +126,6 @@ class Cpi2Monitor
 
     /** Times the decision ladder newly engaged co-runner throttling. */
     std::uint64_t throttleEngagements() const { return throttleEngages; }
-
-    /** Configuration in force. */
-    const MonitorConfig &config() const { return cfg; }
 
   private:
     MonitorConfig cfg;

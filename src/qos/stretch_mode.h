@@ -31,12 +31,19 @@ const char *toString(StretchMode mode);
 /**
  * A design-time asymmetric partitioning point, written "N-M" in the paper:
  * N ROB entries for the latency-sensitive thread, M for the batch thread.
+ * {0, 0} means "use the default skew" wherever a skew can be overridden.
  */
 struct SkewConfig
 {
-    unsigned lsRobEntries = 56;
-    unsigned batchRobEntries = 136;
+    unsigned lsRobEntries = 0;
+    unsigned batchRobEntries = 0;
 };
+
+/** The B-mode skew of the paper's 192-entry ROB (Section IV): 56-136. */
+inline constexpr SkewConfig defaultBmodeSkew{56, 136};
+
+/** The Q-mode skew, B-mode's mirror: 136-56. */
+inline constexpr SkewConfig defaultQmodeSkew{136, 56};
 
 } // namespace stretch
 

@@ -159,12 +159,6 @@ class DiurnalArrivals
         }
     }
 
-    /** Simulated time of the last candidate drawn (ms). */
-    double clockMs() const { return clock; }
-
-    /** Trace hour corresponding to the internal clock (phase applied). */
-    double hourNow() const { return clock / msPerHour + phaseHours; }
-
   private:
     DiurnalTrace trace;
     double peak;
@@ -304,9 +298,6 @@ class ClassArrivalSuperposition
         replayPath(win);
         return out;
     }
-
-    /** Number of component class streams. */
-    std::size_t streamCount() const { return classStreams.size(); }
 
   private:
     /** Sentinel leaf id for the power-of-two padding (never wins). */

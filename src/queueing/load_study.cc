@@ -8,6 +8,9 @@ namespace stretch::queueing
 namespace
 {
 
+/** Bisection steps of every search below. */
+constexpr unsigned searchIterations = 12;
+
 SimKnobs
 toSimKnobs(const StudyKnobs &k)
 {
@@ -42,7 +45,7 @@ peakLoadRate(const ServiceSpec &spec, const StudyKnobs &knobs)
                    spec.name, ": QoS target unattainable even at idle; "
                    "check the service-time model");
 
-    for (unsigned i = 0; i < knobs.searchIterations; ++i) {
+    for (unsigned i = 0; i < searchIterations; ++i) {
         double mid = 0.5 * (lo + hi);
         if (tailAt(spec, mid, sim) <= spec.qosTargetMs)
             lo = mid;
@@ -87,7 +90,7 @@ requiredPerfFraction(const ServiceSpec &spec, double peak_rate,
     double lo = 0.02, hi = 1.0;
     if (meets(lo))
         return lo;
-    for (unsigned i = 0; i < knobs.searchIterations; ++i) {
+    for (unsigned i = 0; i < searchIterations; ++i) {
         double mid = 0.5 * (lo + hi);
         if (meets(mid))
             hi = mid;
@@ -116,7 +119,7 @@ tolerableSlowdown(const ServiceSpec &spec, double peak_rate,
     if (meets(max_factor))
         return max_factor;
     double lo = 1.0, hi = max_factor;
-    for (unsigned i = 0; i < knobs.searchIterations; ++i) {
+    for (unsigned i = 0; i < searchIterations; ++i) {
         double mid = 0.5 * (lo + hi);
         if (meets(mid))
             lo = mid;

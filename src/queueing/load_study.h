@@ -35,7 +35,6 @@ struct StudyKnobs
     std::uint64_t warmup = 2000;
     std::uint64_t seed = 7;
     double quantumMs = 0.25;
-    unsigned searchIterations = 12; ///< bisection steps
 };
 
 /**

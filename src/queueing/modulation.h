@@ -77,9 +77,6 @@ class DutyCycleModulator
         }
     }
 
-    /** Configured duty fraction. */
-    double dutyFraction() const { return duty; }
-
     /** Configured quantum in milliseconds. */
     double quantumMs() const { return quantum; }
 

@@ -15,15 +15,6 @@ namespace
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** printf-lite formatting of a double for messages. */
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os << v;
-    return os.str();
-}
-
 /** The lateness bound a retry storm auto-derives when none is given:
  *  the tightest class SLO, or the monitor QoS target without classes. */
 double
@@ -353,20 +344,33 @@ incidentErrors(const Scenario &s)
     return errors;
 }
 
+std::string
+num(double v)
+{
+    std::ostringstream os;
+    os << v;
+    return os.str();
+}
+
+std::string
+joinMessages(const std::vector<std::string> &messages)
+{
+    std::string joined;
+    for (const std::string &m : messages) {
+        if (!joined.empty())
+            joined += "; ";
+        joined += m;
+    }
+    return joined;
+}
+
 std::vector<sim::IncidentAction>
 compileIncidents(const Scenario &s)
 {
     std::vector<std::string> errors = incidentErrors(s);
-    if (!errors.empty()) {
-        std::string joined;
-        for (const std::string &e : errors) {
-            if (!joined.empty())
-                joined += "; ";
-            joined += e;
-        }
+    if (!errors.empty())
         STRETCH_FATAL("invalid incidents in scenario '", s.name, "': ",
-                      joined);
-    }
+                      joinMessages(errors));
 
     using Kind = sim::IncidentAction::Kind;
     std::vector<sim::IncidentAction> actions;

@@ -190,6 +190,14 @@ std::vector<sim::IncidentAction> compileIncidents(const Scenario &s);
  *  the builder-facing twin of `compileIncidents`'s fatal checks. */
 std::vector<std::string> incidentErrors(const Scenario &s);
 
+/// @name Message formatting shared by the scenario and incident checks.
+/// @{
+/** @p v as `operator<<` prints it. */
+std::string num(double v);
+/** @p messages joined with "; " (empty for no messages). */
+std::string joinMessages(const std::vector<std::string> &messages);
+/// @}
+
 /**
  * One declarative QoS bound evaluated against a finished run's
  * timeline and per-class reporting. Build via the factory helpers

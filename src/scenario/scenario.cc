@@ -22,15 +22,6 @@ namespace stretch::scenario
 namespace
 {
 
-/** printf-lite formatting of a double for error messages. */
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os << v;
-    return os.str();
-}
-
 /** What a calibration probe measures: the fleet's summed baseline
  *  capacity and the flat-load p99 latency scale. */
 struct Calibration
@@ -62,8 +53,7 @@ calibrate(const Scenario &s)
             << slot.qmodeSkew.lsRobEntries << ':'
             << slot.qmodeSkew.batchRobEntries << '#';
     }
-    key << '|' << s.calibrationRequests << '|' << s.opsPerRequest << '|'
-        << s.seed;
+    key << '|' << s.seed;
 
     // Single-flight memo: concurrent sweep variants over the same cores
     // share one probe run — the first caller simulates, the rest block
@@ -88,8 +78,7 @@ calibrate(const Scenario &s)
     sim::FleetConfig probe;
     probe.cores = s.cores;
     probe.slots = s.slots;
-    probe.requests = s.calibrationRequests;
-    probe.opsPerRequest = s.opsPerRequest;
+    probe.requests = calibrationRequests;
     probe.seed = s.seed;
     probe.threads = s.threads;
     Calibration cal;
@@ -127,13 +116,7 @@ Scenario::needsCalibration() const
 std::string
 BuildResult::errorText() const
 {
-    std::string joined;
-    for (const std::string &e : errors) {
-        if (!joined.empty())
-            joined += "; ";
-        joined += e;
-    }
-    return joined;
+    return joinMessages(errors);
 }
 
 ScenarioBuilder &
@@ -199,13 +182,6 @@ ScenarioBuilder &
 ScenarioBuilder::ingress(cluster::IngressConfig cfg)
 {
     draft.ingress = cfg;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::ingressPolicy(cluster::IngressPolicy policy)
-{
-    draft.ingress.policy = policy;
     return *this;
 }
 
@@ -301,20 +277,6 @@ ScenarioBuilder::placement(sim::PlacementPolicy policy)
 }
 
 ScenarioBuilder &
-ScenarioBuilder::classRouting(sim::ClassRouterConfig cfg)
-{
-    draft.classRouting = cfg;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::modeControl(sim::ModeControlConfig cfg)
-{
-    draft.control = cfg;
-    return *this;
-}
-
-ScenarioBuilder &
 ScenarioBuilder::modePolicy(sim::ModePolicyKind kind)
 {
     draft.control.kind = kind;
@@ -322,23 +284,9 @@ ScenarioBuilder::modePolicy(sim::ModePolicyKind kind)
 }
 
 ScenarioBuilder &
-ScenarioBuilder::staticMode(StretchMode mode)
-{
-    draft.control.staticMode = mode;
-    return *this;
-}
-
-ScenarioBuilder &
 ScenarioBuilder::controlQuantum(double quantum_ms)
 {
     draft.control.quantumMs = quantum_ms;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::honorThrottle(bool on)
-{
-    draft.control.honorThrottle = on;
     return *this;
 }
 
@@ -387,13 +335,6 @@ ScenarioBuilder::traceTo(std::string path)
 }
 
 ScenarioBuilder &
-ScenarioBuilder::opsPerRequest(double ops)
-{
-    draft.opsPerRequest = ops;
-    return *this;
-}
-
-ScenarioBuilder &
 ScenarioBuilder::seed(std::uint64_t s)
 {
     draft.seed = s;
@@ -405,13 +346,6 @@ ScenarioBuilder &
 ScenarioBuilder::threads(unsigned n)
 {
     draft.threads = n;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::calibrationRequests(std::uint64_t n)
-{
-    draft.calibrationRequests = n;
     return *this;
 }
 
@@ -454,21 +388,6 @@ ScenarioBuilder::tryBuild() const
         if (draft.ingress.signalDelayMs < 0.0)
             errors.push_back("ingress signal delay must be >= 0 ms (got " +
                              num(draft.ingress.signalDelayMs) + ")");
-        if (draft.ingress.migrateSojournMs < 0.0)
-            errors.push_back("ingress migration threshold must be >= 0 ms "
-                             "(0 = off; got " +
-                             num(draft.ingress.migrateSojournMs) + ")");
-        if (draft.ingress.migrationCostMs < 0.0 ||
-            draft.ingress.failoverDelayMs < 0.0)
-            errors.push_back("ingress migration/failover costs must be "
-                             ">= 0 ms");
-        if (draft.ingress.virtualNodesPerNode < 1)
-            errors.push_back("the ingress affinity ring needs at least one "
-                             "point per node");
-        if (draft.ingress.spilloverBacklogMs <= 0.0)
-            errors.push_back("the ingress spillover threshold must be "
-                             "positive (got " +
-                             num(draft.ingress.spilloverBacklogMs) + " ms)");
     }
 
     // --- Traffic --------------------------------------------------------
@@ -591,8 +510,6 @@ ScenarioBuilder::tryBuild() const
                          "quantum (got " + num(draft.control.quantumMs) +
                          " ms)");
     }
-    if (draft.control.flushCostMs < 0.0)
-        errors.push_back("mode-change flush cost must be >= 0 ms");
     if (draft.control.kind == sim::ModePolicyKind::BacklogHysteresis &&
         !(draft.control.engageBelowMs < draft.control.disengageAboveMs &&
           draft.control.disengageAboveMs < draft.control.qmodeAboveMs)) {
@@ -602,15 +519,6 @@ ScenarioBuilder::tryBuild() const
     if (draft.qosTargetFactor < 0.0)
         errors.push_back("qosTargetFactor must be positive (got " +
                          num(draft.qosTargetFactor) + ")");
-
-    // --- Runtime --------------------------------------------------------
-    if (draft.opsPerRequest <= 0.0)
-        errors.push_back("opsPerRequest must be positive");
-    if (draft.calibrationRequests == 0 && draft.needsCalibration()) {
-        errors.push_back("this scenario calibrates against a probe run "
-                         "(load fraction, qosTargetFactor, or day-sized "
-                         "stream): calibrationRequests must be positive");
-    }
 
     if (!errors.empty())
         return result;
@@ -665,7 +573,6 @@ lowerQuiet(const Scenario &s)
     fleet.policy = s.placement;
     fleet.requests = s.requests;
     fleet.arrivalRatePerMs = s.arrivalRatePerMs;
-    fleet.opsPerRequest = s.opsPerRequest;
     fleet.seed = s.seed;
     fleet.burstRatio = s.burstRatio;
     fleet.dwellLowMs = s.dwellLowMs;
@@ -758,16 +665,9 @@ std::vector<cluster::NodeAction>
 compileRackActions(const Scenario &s)
 {
     std::vector<std::string> errors = incidentErrors(s);
-    if (!errors.empty()) {
-        std::string joined;
-        for (const std::string &e : errors) {
-            if (!joined.empty())
-                joined += "; ";
-            joined += e;
-        }
+    if (!errors.empty())
         STRETCH_FATAL("invalid incidents in rack scenario '", s.name,
-                      "': ", joined);
-    }
+                      "': ", joinMessages(errors));
 
     using Kind = cluster::NodeAction::Kind;
     std::vector<cluster::NodeAction> actions;
@@ -930,12 +830,6 @@ makeReport(const Scenario &s, const sim::FleetResult &result,
         r.addConfig("ingressPolicy", cluster::toString(in.policy));
         r.addConfig("probes", static_cast<std::uint64_t>(in.probes));
         r.addConfig("signalDelayMs", in.signalDelayMs);
-        r.addConfig("migrateSojournMs", in.migrateSojournMs);
-        r.addConfig("migrationCostMs", in.migrationCostMs);
-        r.addConfig("failoverDelayMs", in.failoverDelayMs);
-        r.addConfig("virtualNodesPerNode",
-                    static_cast<std::uint64_t>(in.virtualNodesPerNode));
-        r.addConfig("spilloverBacklogMs", in.spilloverBacklogMs);
     }
     r.addConfig("requests", s.requests);
     if (s.dayRequests)
@@ -976,7 +870,6 @@ makeReport(const Scenario &s, const sim::FleetResult &result,
         }
         r.addConfig("incidents", std::move(kinds));
     }
-    r.addConfig("opsPerRequest", s.opsPerRequest);
     return r;
 }
 

@@ -52,6 +52,9 @@
 namespace stretch::scenario
 {
 
+/** Stream length of the calibration probe (when one is needed). */
+inline constexpr std::uint64_t calibrationRequests = 6000;
+
 /**
  * A validated description of one fleet experiment. Construct via
  * `ScenarioBuilder` (which enforces the invariants below); the fields
@@ -145,11 +148,8 @@ struct Scenario
 
     /// @name Runtime.
     /// @{
-    double opsPerRequest = 500000.0; ///< LS request length (instructions)
     std::uint64_t seed = 42;
     unsigned threads = 0; ///< worker threads (0 = hardware)
-    /** Stream length of the calibration probe (when one is needed). */
-    std::uint64_t calibrationRequests = 6000;
     /// @}
 
     /** True when lowering must run a calibration probe first (a load
@@ -208,8 +208,6 @@ class ScenarioBuilder
     ScenarioBuilder &nodes(unsigned n);
     /** Replace the whole ingress-steering block (rack scenarios). */
     ScenarioBuilder &ingress(cluster::IngressConfig cfg);
-    /** Pick just the ingress steering policy (rack scenarios). */
-    ScenarioBuilder &ingressPolicy(cluster::IngressPolicy policy);
     /// @}
 
     /// @name Traffic.
@@ -249,13 +247,8 @@ class ScenarioBuilder
     /// @name Control.
     /// @{
     ScenarioBuilder &placement(sim::PlacementPolicy policy);
-    ScenarioBuilder &classRouting(sim::ClassRouterConfig cfg);
-    /** Replace the whole mode-control block. */
-    ScenarioBuilder &modeControl(sim::ModeControlConfig cfg);
     ScenarioBuilder &modePolicy(sim::ModePolicyKind kind);
-    ScenarioBuilder &staticMode(StretchMode mode);
     ScenarioBuilder &controlQuantum(double quantum_ms);
-    ScenarioBuilder &honorThrottle(bool on);
     /** Absolute QoS target (ms of sojourn; SlackDriven). */
     ScenarioBuilder &qosTarget(double target_ms);
     /** QoS target as a multiple of the calibration probe's p99. */
@@ -275,12 +268,10 @@ class ScenarioBuilder
 
     /// @name Runtime.
     /// @{
-    ScenarioBuilder &opsPerRequest(double ops);
     /** Dispatch-stream seed. An explicit seed survives a later
      *  cores(n, base) call (which otherwise adopts base.seed). */
     ScenarioBuilder &seed(std::uint64_t s);
     ScenarioBuilder &threads(unsigned n);
-    ScenarioBuilder &calibrationRequests(std::uint64_t n);
     /// @}
 
     /** Validate and build, reporting every violation. */

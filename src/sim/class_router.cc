@@ -10,6 +10,35 @@
 namespace stretch::sim
 {
 
+namespace
+{
+
+/**
+ * Fraction of the serving cores (by measured baseline rate, fastest
+ * first, at least one) forming the *big* set hot classes are pinned to.
+ * The rest form the *little* set; when every core lands in the big set
+ * the distinction disappears and all classes share the fleet.
+ */
+constexpr double bigCoreFraction = 0.5;
+
+/**
+ * Diurnal-replay load fraction above which the big set is reserved for
+ * hot classes. Below the cutoff (the overnight trough) loose classes may
+ * use the idle big cores too. Without a trace the dispatcher is assumed
+ * to run at peak, so the reservation always holds.
+ */
+constexpr double reserveLoadCutoff = 0.6;
+
+/**
+ * Admission budget: a sheddable class's request is dropped when its best
+ * predicted sojourn time exceeds shedFactor x the class SLO.
+ * Predicted-latency shedding is self-correcting — as the queues drain
+ * the prediction falls back under the budget and admission resumes.
+ */
+constexpr double shedFactor = 3.0;
+
+} // namespace
+
 ClassRouter::ClassRouter(const workloads::ServiceClassRegistry &classes,
                          const std::vector<double> &baseline_rate_per_ms,
                          const ClassRouterConfig &cfg,
@@ -20,9 +49,6 @@ ClassRouter::ClassRouter(const workloads::ServiceClassRegistry &classes,
 {
     STRETCH_ASSERT(!classes.empty(), "class router needs at least one "
                                      "service class");
-    STRETCH_ASSERT(cfg.bigCoreFraction > 0.0 && cfg.bigCoreFraction <= 1.0,
-                   "big-core fraction must be in (0, 1]");
-    STRETCH_ASSERT(cfg.shedFactor > 0.0, "shed factor must be positive");
     STRETCH_ASSERT(!trace || ms_per_hour > 0.0,
                    "hour-aware routing needs a positive ms-per-hour");
 
@@ -43,7 +69,7 @@ ClassRouter::ClassRouter(const workloads::ServiceClassRegistry &classes,
                                 baseline_rate_per_ms[b];
                      });
     auto nbig = static_cast<std::size_t>(std::ceil(
-        cfg.bigCoreFraction * static_cast<double>(serving.size())));
+        bigCoreFraction * static_cast<double>(serving.size())));
     nbig = std::max<std::size_t>(1, std::min(nbig, serving.size()));
     big.assign(serving.begin(),
                serving.begin() + static_cast<std::ptrdiff_t>(nbig));
@@ -71,7 +97,7 @@ ClassRouter::reservedAt(double now) const
                           hour + classes.at(cls).traffic.phaseOffsetHours));
         }
     }
-    return load >= cfg.reserveLoadCutoff;
+    return load >= reserveLoadCutoff;
 }
 
 bool
@@ -140,7 +166,7 @@ ClassRouter::route(workloads::ClassId cls, double now, double demand,
     }
 
     if (cfg.shedEnabled && c.sheddable &&
-        predicted > cfg.shedFactor * c.sloMs) {
+        predicted > shedFactor * c.sloMs) {
         ++stats.shedAdmission;
         return queueing::EventEngine::shed;
     }

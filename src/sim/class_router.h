@@ -35,33 +35,6 @@ namespace stretch::sim
 /** Knobs of the class-aware routing and admission policy. */
 struct ClassRouterConfig
 {
-    /**
-     * Fraction of the serving cores (by measured baseline rate, fastest
-     * first, at least one) forming the *big* set hot classes are pinned
-     * to. The rest form the *little* set; when every core lands in the
-     * big set the distinction disappears and all classes share the
-     * fleet.
-     */
-    double bigCoreFraction = 0.5;
-
-    /**
-     * Diurnal-replay load fraction above which the big set is reserved
-     * for hot classes. Below the cutoff (the overnight trough) loose
-     * classes may use the idle big cores too. Without a trace the
-     * dispatcher is assumed to run at peak, so the reservation always
-     * holds.
-     */
-    double reserveLoadCutoff = 0.6;
-
-    /**
-     * Admission budget: a sheddable class's request is dropped when its
-     * best predicted sojourn time exceeds shedFactor x the class SLO.
-     * Predicted-latency shedding is self-correcting — as the queues
-     * drain the prediction falls back under the budget and admission
-     * resumes.
-     */
-    double shedFactor = 3.0;
-
     /** Master switch for admission control. */
     bool shedEnabled = true;
 };

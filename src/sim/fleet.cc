@@ -31,6 +31,13 @@ constexpr std::uint64_t demandStream = 0xde3a;
 constexpr std::uint64_t placementStream = 0x9b1c;
 constexpr std::uint64_t classStream = 0xc1a5;
 
+/** Mean latency-sensitive request length in committed instructions. */
+constexpr double opsPerRequest = 500000.0;
+
+/** Fetch-cycle ratio (1:R) of the throttled operating point: the batch
+ *  thread fetches once every R cycles. */
+constexpr unsigned throttleFetchRatio = 8;
+
 /** Severity of a mode decision for combining per-class monitor votes:
  *  the most QoS-protective decision wins on a shared core. */
 int
@@ -64,7 +71,7 @@ modeForSeverity(int severity)
  * The software side of one dynamically-controlled fleet core: the
  * CPI²-style monitor fed by request completion latencies. The core's
  * mode lives in the dispatcher's `mode[c]`; a mode change is charged as
- * `ModeControlConfig::flushCostMs` of lost capacity.
+ * `modeFlushCostMs` of lost capacity.
  */
 struct CoreControl
 {
@@ -710,8 +717,8 @@ dispatchRequests(const DispatchConfig &cfg)
             }
             ms.residencyMs[modeIndex(mode[c])] += t - segStartMs[c];
             segStartMs[c] = t;
-            engine.chargeCapacity(c, t, mc.flushCostMs);
-            ms.flushMs += mc.flushCostMs;
+            engine.chargeCapacity(c, t, modeFlushCostMs);
+            ms.flushMs += modeFlushCostMs;
             ++ms.transitions;
             mode[c] = next;
             rate[c] = effectiveRate(c);
@@ -1027,8 +1034,8 @@ runFleet(const FleetConfig &cfg)
         dynamic ? numStretchModes + (withThrottle ? 1 : 0) : 1;
 
     // Heterogeneous slot parameters: physical sizes override the slot's
-    // RunConfig, and per-slot skews (when set) override the fleet-wide
-    // mode-control skews so little cores get partitions that fit.
+    // RunConfig, and per-slot skews (when set) override the default
+    // skews so little cores get partitions that fit.
     auto slotConfig = [&](std::size_t i) {
         RunConfig rc = cfg.cores[i];
         if (i < cfg.slots.size()) {
@@ -1047,7 +1054,8 @@ runFleet(const FleetConfig &cfg)
             if (s.lsRobEntries + s.batchRobEntries > 0)
                 return s;
         }
-        return m == StretchMode::BatchBoost ? mc.bmodeSkew : mc.qmodeSkew;
+        return m == StretchMode::BatchBoost ? defaultBmodeSkew
+                                            : defaultQmodeSkew;
     };
     if (dynamic) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -1095,7 +1103,7 @@ runFleet(const FleetConfig &cfg)
                                      slotSkew(i, StretchMode::BatchBoost),
                                      slotSkew(i, StretchMode::QosBoost));
                 rc.fetchPolicy = FetchPolicy::Throttle;
-                rc.throttleRatio = mc.throttleFetchRatio;
+                rc.throttleRatio = throttleFetchRatio;
                 rc.throttledThread = 1;
             }
             pointResults[task] = cache.measure(rc);
@@ -1115,7 +1123,7 @@ runFleet(const FleetConfig &cfg)
     fleet.batchPoints.assign(n, FleetResult::BatchOperatingPoints{});
     const double cycles_per_ms = coreFreqGhz * 1e6;
     auto uipcToRate = [&](double uipc) {
-        return uipc * cycles_per_ms / cfg.opsPerRequest;
+        return uipc * cycles_per_ms / opsPerRequest;
     };
     for (std::size_t i = 0; i < n; ++i) {
         const RunResult &r = fleet.cores[i];

@@ -18,9 +18,9 @@
  * Stretch mode at control-quantum boundaries as backlog and slack
  * change. A mode is plain configuration: each core's capacity is
  * measured at every mode before dispatch starts (`sim::robSetupFor`),
- * and a mode change is charged as `ModeControlConfig::flushCostMs` of
- * lost service capacity. Per-core mode residency/transition counts are
- * reported in the dispatch outcome.
+ * and a mode change is charged as `modeFlushCostMs` of lost service
+ * capacity. Per-core mode residency/transition counts are reported in
+ * the dispatch outcome.
  *
  * The monitor's full CPI² decision ladder is closed: completion latencies
  * and CPI-style slowdown proxies feed each core's monitor, and when the
@@ -162,10 +162,6 @@ struct ModeControlConfig
     /** Control quantum: the policy runs at every multiple of this. */
     double quantumMs = 0.5;
 
-    /** Capacity charged per mode change (pipeline flush + repartition
-     *  drain, Section IV-C). */
-    double flushCostMs = 0.005;
-
     /// @name BacklogHysteresis thresholds (ms of queued work).
     /// Engage B-mode only with a near-empty queue, hold it until the
     /// backlog climbs out of the hysteresis band, and escalate to Q-mode
@@ -188,24 +184,18 @@ struct ModeControlConfig
      * stream.
      */
     bool honorThrottle = true;
-
-    /** Fetch-cycle ratio (1:R) used to measure the throttled operating
-     *  point — the batch thread fetches once every R cycles. */
-    unsigned throttleFetchRatio = 8;
-
-    /// @name Design-time skews programmed by the per-core controller.
-    /// @{
-    SkewConfig bmodeSkew{56, 136};
-    SkewConfig qmodeSkew{136, 56};
-    /// @}
 };
+
+/** Capacity charged per mode change (ms): the pipeline flush and
+ *  repartition drain of Section IV-C. */
+inline constexpr double modeFlushCostMs = 0.005;
 
 /** Mode and throttle timeline of one core over a dispatch run. */
 struct CoreModeStats
 {
     /** Simulated time spent in each mode, indexed by modeIndex(). */
     std::array<double, numStretchModes> residencyMs{};
-    /** Mode changes (each costs `flushCostMs` of capacity). */
+    /** Mode changes (each costs `modeFlushCostMs` of capacity). */
     std::uint64_t transitions = 0;
     /** Service capacity consumed by mode-change flushes. */
     double flushMs = 0.0;
@@ -282,8 +272,8 @@ const char *toString(IncidentAction::Kind kind);
  * ingress: the absolute arrival time at this node, the class tag, the
  * unit-mean demand the ingress already drew for the request, and any
  * latency the request accumulated *before* reaching the node (failover
- * or migration re-steering). The dispatcher replays the stream instead
- * of drawing its own arrivals and demands, and adds `latencyOffsetMs`
+ * re-steering). The dispatcher replays the stream instead of drawing
+ * its own arrivals and demands, and adds `latencyOffsetMs`
  * to the recorded sojourn — end-to-end accounting — while the control
  * loop's monitors keep seeing the node-local sojourn only (the node
  * cannot react to time the request spent elsewhere).
@@ -478,16 +468,17 @@ DispatchOutcome dispatchRequests(const DispatchConfig &cfg);
 /**
  * Per-slot physical core parameters for heterogeneous (big/little)
  * fleets. A zero field keeps the corresponding value from the slot's
- * `RunConfig` (sizes) or the fleet-wide `ModeControlConfig` (skews).
+ * `RunConfig` (sizes) or the default skews (`defaultBmodeSkew`,
+ * `defaultQmodeSkew`).
  */
 struct CoreSlot
 {
     unsigned robEntries = 0; ///< physical ROB entries; 0 = RunConfig's
     unsigned lsqEntries = 0; ///< physical LSQ entries; 0 = RunConfig's
-    /** B-mode skew for this slot; {0,0} = fleet-wide default. Must fit
-     *  the slot's ROB (ls + batch <= robEntries). */
+    /** B-mode skew for this slot; {0,0} = the default. Must fit the
+     *  slot's ROB (ls + batch <= robEntries). */
     SkewConfig bmodeSkew{0, 0};
-    /** Q-mode skew for this slot; {0,0} = fleet-wide default. */
+    /** Q-mode skew for this slot; {0,0} = the default. */
     SkewConfig qmodeSkew{0, 0};
 };
 
@@ -500,14 +491,11 @@ struct FleetConfig : DispatchSpec
 
     /**
      * Optional heterogeneous core classes: either empty (every core uses
-     * its RunConfig sizes and the fleet-wide skews) or index-matched to
+     * its RunConfig sizes and the default skews) or index-matched to
      * `cores`. Slot overrides apply to every capacity measurement —
      * big/little fleets get per-slot mode skews sized to their ROBs.
      */
     std::vector<CoreSlot> slots;
-
-    /** Mean latency-sensitive request length in committed instructions. */
-    double opsPerRequest = 500000.0;
 
     /** Pool workers for per-core simulations: 1 = serial, 0 = hardware. */
     unsigned threads = 0;

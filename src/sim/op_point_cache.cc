@@ -111,7 +111,7 @@ OperatingPointCache::key(const RunConfig &c)
        << c.rob.limit0 << ':' << c.rob.limit1 << '|' << int(c.fetchPolicy)
        << ':' << c.throttleRatio << ':' << unsigned(c.throttledThread)
        << '|' << c.robEntries << ':' << c.lsqEntries << '|'
-       << c.fullMachineWhenIsolated << ':' << c.isolatedRobOverride << '|'
+       << c.isolatedRobOverride << '|'
        << c.samples << ':' << c.warmupOps << ':' << c.warmupCycles << ':'
        << c.measureOps << ':' << c.seed << '|' << quickFactor();
     return os.str();

@@ -127,7 +127,7 @@ class OperatingPointCache
 
     /** On-disk format version written by saveTo; bump when the entry
      *  layout (or anything the key omits) changes meaning. */
-    static constexpr int formatVersion = 2;
+    static constexpr int formatVersion = 3;
     /// @}
 
   private:

@@ -137,15 +137,14 @@ run(const RunConfig &cfg)
         std::max(5000.0, cfg.measureOps * g_quickFactor));
 
     // ---- Machine configuration -------------------------------------
-    bool full_machine = !colocated && cfg.fullMachineWhenIsolated;
-
+    // An isolated run gets the full machine (see RunConfig::workload1).
     HierarchyConfig hcfg;
     hcfg.sharedL1i = cfg.shareL1i;
     hcfg.sharedL1d = cfg.shareL1d;
-    if (full_machine) {
+    if (!colocated) {
         hcfg.llcWayPartition = {hcfg.llcAssoc, 0};
         hcfg.mshrQuota = {hcfg.mshrs, hcfg.mshrs};
-    } else if (colocated) {
+    } else {
         hcfg.llcWayPartition = {hcfg.llcAssoc / 2, hcfg.llcAssoc / 2};
         if (cfg.shareL1d) {
             // Table II: 10 MSHRs, 5 per thread.
@@ -154,10 +153,6 @@ run(const RunConfig &cfg)
             // Private full-size L1-Ds each own a full MSHR file.
             hcfg.mshrQuota = {hcfg.mshrs, hcfg.mshrs};
         }
-    } else {
-        // Isolated but restricted to the SMT half-machine share.
-        hcfg.llcWayPartition = {hcfg.llcAssoc / 2, hcfg.llcAssoc / 2};
-        hcfg.mshrQuota = {hcfg.mshrs / 2, hcfg.mshrs / 2};
     }
 
     BranchUnitConfig bcfg;
@@ -204,7 +199,7 @@ run(const RunConfig &cfg)
         unsigned lsq_total = cfg.lsqEntries;
         switch (cfg.rob.kind) {
           case RobConfigKind::EqualPartition:
-            if (full_machine) {
+            if (!colocated) {
                 unsigned rob = cfg.isolatedRobOverride
                                    ? cfg.isolatedRobOverride
                                    : rob_total;

@@ -46,7 +46,11 @@ struct RunConfig
 {
     /** Workload on thread 0; empty = thread idle. */
     std::string workload0;
-    /** Workload on thread 1; empty = thread idle (isolated run). */
+    /**
+     * Workload on thread 1; empty = an isolated run, which gets the full
+     * machine: the whole ROB/LSQ/MSHRs/LLC go to thread 0, the paper's
+     * "stand-alone execution on a full core" normalisation baseline.
+     */
     std::string workload1;
 
     /// @name Which structures the two threads share (Section III-B).
@@ -65,13 +69,6 @@ struct RunConfig
     /** Physical window sizes (Table II). */
     unsigned robEntries = 192;
     unsigned lsqEntries = 64;
-
-    /**
-     * Isolated runs (workload1 empty) default to a full machine: whole
-     * ROB/LSQ/MSHRs/LLC to thread 0 — the paper's "stand-alone execution
-     * on a full core" normalisation baseline.
-     */
-    bool fullMachineWhenIsolated = true;
 
     /** Override the isolated-run ROB size (Figure 6 sweeps); 0 = full. */
     unsigned isolatedRobOverride = 0;
@@ -128,8 +125,9 @@ struct RunResult
  * convention). Used to measure a core's capacity at each operating point
  * of the dynamic mode-control loop.
  */
-RobSetup robSetupFor(StretchMode mode, const SkewConfig &bmode = {56, 136},
-                     const SkewConfig &qmode = {136, 56});
+RobSetup robSetupFor(StretchMode mode,
+                     const SkewConfig &bmode = defaultBmodeSkew,
+                     const SkewConfig &qmode = defaultQmodeSkew);
 
 /** Execute a configuration (all samples) and aggregate. */
 RunResult run(const RunConfig &cfg);

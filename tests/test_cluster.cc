@@ -1,7 +1,7 @@
 /**
  * @file
  * Cluster-layer tests: serial/parallel bit-identity over many seeds,
- * ingress policy behaviour (steering counts, migration, failover,
+ * ingress policy behaviour (steering counts, failover,
  * degradation avoidance), tail-merge exactness, rack scenario builder
  * validation, and the rack drill teeth pairing (JSQ(2) passes the
  * node-failure QoS assertions that blind round-robin misses).
@@ -239,24 +239,6 @@ TEST(ClusterIngress, JsqAvoidsADegradedNode)
               r.merged.dispatch.latencyMs.p99);
 }
 
-TEST(ClusterIngress, MigrationDrainsStragglersOffAHotNode)
-{
-    // Round-robin + a crippled node builds a queue the migrator must
-    // drain; with migration off the same setup reports none.
-    cluster::ClusterConfig cfg = smallRack();
-    cfg.ingress.policy = cluster::IngressPolicy::RoundRobin;
-    cfg.ingress.migrateSojournMs = 5.0;
-    cfg.actions.push_back(
-        {cluster::NodeAction::Kind::NodeDegrade, 0.0, 0, 0.2});
-
-    cluster::ClusterResult withMigration = cluster::runCluster(cfg);
-    EXPECT_GT(withMigration.ingress.migrations, 0u);
-
-    cfg.ingress.migrateSojournMs = 0.0;
-    cluster::ClusterResult without = cluster::runCluster(cfg);
-    EXPECT_EQ(without.ingress.migrations, 0u);
-}
-
 TEST(ClusterIngress, ReplaysTheDiurnalTrace)
 {
     const queueing::DiurnalTrace trace =
@@ -359,7 +341,6 @@ struct IngressPin
 {
     std::uint64_t hash;
     std::uint64_t decisions;
-    std::uint64_t migrations;
     std::uint64_t failovers;
     std::uint64_t spillovers;
     std::uint64_t signalRefreshes;
@@ -371,7 +352,6 @@ expectPinned(const cluster::ClusterResult &r, const IngressPin &pin)
 {
     EXPECT_EQ(injectedHash(r), pin.hash);
     EXPECT_EQ(r.ingress.decisions, pin.decisions);
-    EXPECT_EQ(r.ingress.migrations, pin.migrations);
     EXPECT_EQ(r.ingress.failovers, pin.failovers);
     EXPECT_EQ(r.ingress.spillovers, pin.spillovers);
     EXPECT_EQ(r.ingress.signalRefreshes, pin.signalRefreshes);
@@ -381,7 +361,7 @@ expectPinned(const cluster::ClusterResult &r, const IngressPin &pin)
 TEST(TrafficGolden, ClusterSmallRack)
 {
     expectPinned(cluster::runCluster(smallRack()),
-                 {0x0f8e40d77598474eull, 2000, 0, 0, 0, 236,
+                 {0x0f8e40d77598474eull, 2000, 0, 0, 236,
                   {556, 520, 484, 440}});
 }
 
@@ -396,7 +376,7 @@ TEST(TrafficGolden, ClusterSmallRackWithClasses)
                    {cluster::NodeAction::Kind::NodeFail, 30.0, 2, 1.0},
                    {cluster::NodeAction::Kind::ArrivalScale, 45.0, 0, 1.0}};
     expectPinned(cluster::runCluster(cfg),
-                 {0x16a4959c7cf5ed53ull, 2000, 0, 18, 0, 216,
+                 {0x16a4959c7cf5ed53ull, 2000, 18, 0, 216,
                   {642, 629, 76, 653}});
 
     // The same classes on per-class streams, one of them bursty.
@@ -404,7 +384,7 @@ TEST(TrafficGolden, ClusterSmallRackWithClasses)
     cfg.perClassArrivals = true;
     cfg.classes.classAt(1).traffic.burstRatio = 4.0;
     expectPinned(cluster::runCluster(cfg),
-                 {0xe1b9b24ae4b55f6aull, 2000, 0, 0, 0, 229,
+                 {0xe1b9b24ae4b55f6aull, 2000, 0, 0, 229,
                   {493, 511, 503, 493}});
 }
 

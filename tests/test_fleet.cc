@@ -416,8 +416,7 @@ TEST(ModeControl, BacklogPolicyTransitionsAndAccounts)
         // Flush cost is charged per transition (up to accumulation
         // rounding: flushMs is summed one transition at a time).
         EXPECT_NEAR(m.flushMs,
-                    static_cast<double>(m.transitions) *
-                        cfg.control.flushCostMs,
+                    static_cast<double>(m.transitions) * modeFlushCostMs,
                     1e-12 * static_cast<double>(m.transitions + 1));
         // Residency partitions the whole run.
         double residency =

@@ -126,16 +126,6 @@ TEST(RunReportHash, TellsRackIngressSettingsApart)
         {"probes", [](cluster::IngressConfig &in) { in.probes += 1; }},
         {"signalDelayMs",
          [](cluster::IngressConfig &in) { in.signalDelayMs += 1.0; }},
-        {"migrateSojournMs",
-         [](cluster::IngressConfig &in) { in.migrateSojournMs += 1.0; }},
-        {"migrationCostMs",
-         [](cluster::IngressConfig &in) { in.migrationCostMs += 1.0; }},
-        {"failoverDelayMs",
-         [](cluster::IngressConfig &in) { in.failoverDelayMs += 1.0; }},
-        {"virtualNodesPerNode",
-         [](cluster::IngressConfig &in) { in.virtualNodesPerNode += 1; }},
-        {"spilloverBacklogMs",
-         [](cluster::IngressConfig &in) { in.spilloverBacklogMs += 1.0; }},
     };
     const sim::FleetResult result;
     auto hash = [&](const scenario::Scenario &s) {

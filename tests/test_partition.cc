@@ -87,17 +87,6 @@ TEST(Partition, DynamicWithPerThreadCap)
     EXPECT_TRUE(r.canAllocate(1));
 }
 
-TEST(Partition, ReleaseAll)
-{
-    PartitionedResource r("ROB", 8);
-    r.allocate(0);
-    r.allocate(0);
-    r.allocate(1);
-    r.releaseAll(0);
-    EXPECT_EQ(r.usage(0), 0u);
-    EXPECT_EQ(r.usage(1), 1u);
-}
-
 TEST(Partition, UsageTracksAllocateRelease)
 {
     PartitionedResource r("LSQ", 64);

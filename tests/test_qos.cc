@@ -18,15 +18,13 @@ monitorConfig()
 {
     MonitorConfig cfg;
     cfg.qosTarget = 100.0;
-    cfg.windowRequests = 8;
-    cfg.violationsBeforeThrottle = 2;
     return cfg;
 }
 
 void
 feedWindow(Cpi2Monitor &mon, double latency)
 {
-    while (!mon.windowReady())
+    for (int i = 0; i < 8; ++i)
         mon.recordLatency(latency);
 }
 
@@ -34,7 +32,7 @@ TEST(Monitor, EngagesBModeOnSlack)
 {
     Cpi2Monitor mon(monitorConfig());
     feedWindow(mon, 20.0); // far below the 100 ms target
-    MonitorDecision d = mon.evaluateWindow();
+    MonitorDecision d = mon.evaluateWindowNow();
     EXPECT_EQ(d.mode, StretchMode::BatchBoost);
     EXPECT_FALSE(d.throttleCoRunner);
 }
@@ -43,33 +41,33 @@ TEST(Monitor, StaysBaselineInMidBand)
 {
     Cpi2Monitor mon(monitorConfig());
     feedWindow(mon, 75.0); // between engage (60) and qmode (95) thresholds
-    EXPECT_EQ(mon.evaluateWindow().mode, StretchMode::Baseline);
+    EXPECT_EQ(mon.evaluateWindowNow().mode, StretchMode::Baseline);
 }
 
 TEST(Monitor, HysteresisKeepsBMode)
 {
     Cpi2Monitor mon(monitorConfig());
     feedWindow(mon, 20.0);
-    mon.evaluateWindow(); // B-mode engaged
+    mon.evaluateWindowNow(); // B-mode engaged
     feedWindow(mon, 75.0); // above engage (60) but below disengage (85)
-    EXPECT_EQ(mon.evaluateWindow().mode, StretchMode::BatchBoost);
+    EXPECT_EQ(mon.evaluateWindowNow().mode, StretchMode::BatchBoost);
     feedWindow(mon, 90.0); // above disengage
-    EXPECT_NE(mon.evaluateWindow().mode, StretchMode::BatchBoost);
+    EXPECT_NE(mon.evaluateWindowNow().mode, StretchMode::BatchBoost);
 }
 
 TEST(Monitor, ViolationDisengagesThenThrottles)
 {
     Cpi2Monitor mon(monitorConfig());
     feedWindow(mon, 20.0);
-    mon.evaluateWindow(); // B-mode
+    mon.evaluateWindowNow(); // B-mode
     feedWindow(mon, 120.0); // violation 1: step out of B-mode
-    MonitorDecision d1 = mon.evaluateWindow();
+    MonitorDecision d1 = mon.evaluateWindowNow();
     EXPECT_NE(d1.mode, StretchMode::BatchBoost);
     EXPECT_FALSE(d1.throttleCoRunner);
     feedWindow(mon, 120.0); // violation 2
-    mon.evaluateWindow();
+    mon.evaluateWindowNow();
     feedWindow(mon, 120.0); // violation 3: beyond tolerance -> throttle
-    MonitorDecision d3 = mon.evaluateWindow();
+    MonitorDecision d3 = mon.evaluateWindowNow();
     EXPECT_TRUE(d3.throttleCoRunner);
     EXPECT_EQ(mon.violationWindows(), 3u);
 }
@@ -79,15 +77,15 @@ TEST(Monitor, RecoveryLiftsThrottle)
     Cpi2Monitor mon(monitorConfig());
     for (int i = 0; i < 4; ++i) {
         feedWindow(mon, 150.0);
-        mon.evaluateWindow();
+        mon.evaluateWindowNow();
     }
     ASSERT_TRUE(mon.current().throttleCoRunner);
     feedWindow(mon, 20.0); // load receded
-    MonitorDecision d = mon.evaluateWindow();
+    MonitorDecision d = mon.evaluateWindowNow();
     EXPECT_FALSE(d.throttleCoRunner);
     // Next quiet window re-engages B-mode.
     feedWindow(mon, 20.0);
-    EXPECT_EQ(mon.evaluateWindow().mode, StretchMode::BatchBoost);
+    EXPECT_EQ(mon.evaluateWindowNow().mode, StretchMode::BatchBoost);
 }
 
 TEST(Monitor, QModeWithoutProvisioningFallsToBaseline)
@@ -96,39 +94,35 @@ TEST(Monitor, QModeWithoutProvisioningFallsToBaseline)
     cfg.hasQMode = false;
     Cpi2Monitor mon(cfg);
     feedWindow(mon, 120.0);
-    EXPECT_EQ(mon.evaluateWindow().mode, StretchMode::Baseline);
+    EXPECT_EQ(mon.evaluateWindowNow().mode, StretchMode::Baseline);
 }
 
 TEST(Monitor, QModeEngagedNearTarget)
 {
     Cpi2Monitor mon(monitorConfig());
     feedWindow(mon, 97.0); // above qmodeFraction (95) but below target
-    EXPECT_EQ(mon.evaluateWindow().mode, StretchMode::QosBoost);
+    EXPECT_EQ(mon.evaluateWindowNow().mode, StretchMode::QosBoost);
 }
 
 TEST(Monitor, TailUsesConfiguredPercentile)
 {
-    MonitorConfig cfg = monitorConfig();
-    cfg.windowRequests = 100;
-    Cpi2Monitor mon(cfg);
+    Cpi2Monitor mon(monitorConfig());
     // 95 fast requests and five slow ones: p99 captures the outliers.
     for (int i = 0; i < 95; ++i)
         mon.recordLatency(10.0);
     for (int i = 0; i < 5; ++i)
         mon.recordLatency(500.0);
-    MonitorDecision d = mon.evaluateWindow();
+    MonitorDecision d = mon.evaluateWindowNow();
     EXPECT_GT(d.tailLatency, 100.0);
 }
 
 TEST(Monitor, EvaluateWindowNowUsesPartialWindow)
 {
     Cpi2Monitor mon(monitorConfig());
-    // Three samples of an eight-request window: still enough for a
-    // quantum-boundary decision.
+    // Three samples are enough for a quantum-boundary decision.
     mon.recordLatency(20.0);
     mon.recordLatency(25.0);
     mon.recordLatency(30.0);
-    ASSERT_FALSE(mon.windowReady());
     EXPECT_EQ(mon.windowFill(), 3u);
     MonitorDecision d = mon.evaluateWindowNow();
     EXPECT_EQ(d.mode, StretchMode::BatchBoost);
@@ -139,7 +133,7 @@ TEST(Monitor, EvaluateWindowNowEmptyKeepsLastDecision)
 {
     Cpi2Monitor mon(monitorConfig());
     feedWindow(mon, 20.0);
-    mon.evaluateWindow(); // B-mode engaged
+    mon.evaluateWindowNow(); // B-mode engaged
     MonitorDecision d = mon.evaluateWindowNow();
     EXPECT_EQ(d.mode, StretchMode::BatchBoost);
     EXPECT_EQ(mon.violationWindows(), 0u); // no window was evaluated

@@ -267,7 +267,7 @@ TEST(ScenarioCalibration, ResolvesLoadFractionsAndQosTarget)
     sim::FleetConfig lowered = lower(flat);
 
     sim::FleetConfig probe = sim::homogeneousFleet(2, base);
-    probe.requests = flat.calibrationRequests;
+    probe.requests = scenario::calibrationRequests;
     sim::FleetResult probe_result = sim::runFleet(probe);
     double capacity = 0.0;
     for (const sim::ModeRates &r : probe_result.modeRates)

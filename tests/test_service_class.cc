@@ -233,7 +233,6 @@ TEST(ClassRouter, ShedsOnlySheddableClassesOverBudget)
     ServiceClassRegistry reg = twoClasses(0.01, 0.01); // SLO: 0.01 ms
     std::vector<double> rates{1.0, 1.0};
     sim::ClassRouterConfig cfg;
-    cfg.shedFactor = 3.0;
     sim::ClassRouter router(reg, rates, cfg);
     queueing::EventEngine engine(2);
 
