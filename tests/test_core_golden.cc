@@ -1,7 +1,8 @@
 /**
  * @file
- * Golden test for the cycle-level core: the 64 colocation runs of the
- * perfbench core-oppoints workload, pinned bit for bit.
+ * Golden tests for the cycle-level core, pinned bit for bit: the 64
+ * colocation runs of the perfbench core-oppoints workload, and 14 config
+ * corners that workload never reaches.
  *
  * Each run pins both UIPCs (hex-float literals), the measured cycle
  * count, and an FNV-1a digest of every other RunResult field: the three
@@ -250,6 +251,143 @@ TEST(CoreGolden, CoreOppointsPass)
         EXPECT_EQ(results[i].uipc[1], g.uipc1);
         EXPECT_EQ(results[i].totalCycles, g.cycles);
         EXPECT_EQ(digestOf(results[i]), g.digest);
+    }
+}
+
+/** One pinned corner: an edit of the short colocated config below. */
+struct Corner
+{
+    const char *name;
+    void (*edit)(RunConfig &);
+    double uipc0;
+    double uipc1;
+    std::uint64_t cycles;
+    std::uint64_t digest;
+};
+
+/** web_search + mcf at a short serial sampling, seed 42. */
+RunConfig
+cornerBase()
+{
+    RunConfig cfg;
+    cfg.workload0 = "web_search";
+    cfg.workload1 = "mcf";
+    cfg.samples = 2;
+    cfg.warmupOps = 3000;
+    cfg.measureOps = 8000;
+    cfg.seed = 42;
+    cfg.parallelism = 1;
+    return cfg;
+}
+
+// Isolated runs (thread 1 detached, full-machine MSHR quota), the
+// isolated ROB override, the dynamic and private windows, private L1-Ds
+// (two MSHR files), private L1-I and predictor tables, round-robin fetch,
+// throttling of thread 0, and ROB sizes whose per-thread ready sets fill
+// a partial word, two words and four words.
+// clang-format off
+const Corner corners[] = {
+    {"isolated web_search",
+     [](RunConfig &c) {
+         c.workload1.clear();
+     },
+     0x1.621316a039f6p-2, 0x0p+0, 46293ull, 0xfcb9929877cbd56eull},
+    {"isolated mcf",
+     [](RunConfig &c) {
+         c.workload0 = "mcf";
+         c.workload1.clear();
+     },
+     0x1.70843975388ecp-2, 0x0p+0, 44482ull, 0xd583276cf22bb592ull},
+    {"isolated rob 32",
+     [](RunConfig &c) {
+         c.workload1.clear();
+         c.isolatedRobOverride = 32;
+     },
+     0x1.17eb5c0050047p-2, 0x0p+0, 58545ull, 0xad0f13f88e273a8dull},
+    {"isolated rob 96",
+     [](RunConfig &c) {
+         c.workload1.clear();
+         c.isolatedRobOverride = 96;
+     },
+     0x1.4509acaf7448bp-2, 0x0p+0, 50468ull, 0x59c1d6aaf4f3a60aull},
+    {"dynamic shared",
+     [](RunConfig &c) {
+         c.rob.kind = RobConfigKind::DynamicShared;
+     },
+     0x1.1eaf488a424f9p-2, 0x1.f5743c960a582p-3, 65728ull, 0xc5e56d328f3765a0ull},
+    {"private full",
+     [](RunConfig &c) {
+         c.rob.kind = RobConfigKind::PrivateFull;
+     },
+     0x1.5492f3afa2134p-2, 0x1.152bce08b088p-2, 59512ull, 0x4db135f8f31bd764ull},
+    {"private l1d",
+     [](RunConfig &c) {
+         c.shareL1d = false;
+     },
+     0x1.437b5eccc4f12p-2, 0x1.327ba771fbd55p-2, 53563ull, 0xc5788281f1a6cd2dull},
+    {"private l1d lbm",
+     [](RunConfig &c) {
+         c.shareL1d = false;
+         c.workload0 = "data_serving";
+         c.workload1 = "lbm";
+     },
+     0x1.f45aa97252abep-3, 0x1.d1cbe7d488788p-2, 65534ull, 0x051861af2c62db59ull},
+    {"private l1i and bp",
+     [](RunConfig &c) {
+         c.shareL1i = false;
+         c.shareBp = false;
+     },
+     0x1.39db7e3a95c77p-2, 0x1.012d59f6aa309p-2, 63955ull, 0xb709427ed97e6140ull},
+    {"round-robin fetch",
+     [](RunConfig &c) {
+         c.fetchPolicy = FetchPolicy::RoundRobin;
+     },
+     0x1.39d38007c72d2p-2, 0x1.0579b24f1ef2cp-2, 62988ull, 0x14eee1c3a6e71175ull},
+    {"throttled thread 0",
+     [](RunConfig &c) {
+         c.fetchPolicy = FetchPolicy::Throttle;
+         c.throttleRatio = 4;
+         c.throttledThread = 0;
+     },
+     0x1.28e946c0bf08p-2, 0x1.03e60e692eac5p-2, 63451ull, 0x2e7c0218612c21ccull},
+    {"rob 96",
+     [](RunConfig &c) {
+         c.robEntries = 96;
+     },
+     0x1.2038113767c9dp-2, 0x1.c152be2357314p-3, 73116ull, 0xc6db5df49d942901ull},
+    {"rob 128 dynamic",
+     [](RunConfig &c) {
+         c.robEntries = 128;
+         c.rob.kind = RobConfigKind::DynamicShared;
+     },
+     0x1.0e61348d82962p-2, 0x1.e5c766f8c0b7ap-3, 67965ull, 0xeda5b76bb57b3800ull},
+    {"rob 256 lsq 96",
+     [](RunConfig &c) {
+         c.robEntries = 256;
+         c.lsqEntries = 96;
+     },
+     0x1.4bca767125752p-2, 0x1.0c23fc30c27eap-2, 61458ull, 0xf8203d659f4a6a16ull},
+};
+// clang-format on
+
+TEST(CoreGolden, ConfigCornersPass)
+{
+    ASSERT_EQ(quickFactor(), 1.0);
+    constexpr std::size_t n = sizeof(corners) / sizeof(corners[0]);
+    ASSERT_EQ(n, 14u);
+    std::vector<RunResult> results(n);
+    parallelFor(0, n, [&](std::size_t i) {
+        RunConfig cfg = cornerBase();
+        corners[i].edit(cfg);
+        results[i] = run(cfg);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+        const Corner &c = corners[i];
+        SCOPED_TRACE(c.name);
+        EXPECT_EQ(results[i].uipc[0], c.uipc0);
+        EXPECT_EQ(results[i].uipc[1], c.uipc1);
+        EXPECT_EQ(results[i].totalCycles, c.cycles);
+        EXPECT_EQ(digestOf(results[i]), c.digest);
     }
 }
 
