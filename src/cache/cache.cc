@@ -1,5 +1,7 @@
 #include "cache/cache.h"
 
+#include <algorithm>
+
 #include "util/log.h"
 
 namespace stretch
@@ -32,7 +34,8 @@ Cache::Cache(const CacheConfig &cfg) : cfg(cfg)
             total += w;
         STRETCH_ASSERT(total <= cfg.assoc, "way partition exceeds assoc");
     }
-    lines.assign(sets * cfg.assoc, Line{});
+    lines.resize(sets * 2 * cfg.assoc);
+    reset();
 }
 
 void
@@ -49,31 +52,25 @@ Cache::threadWays(ThreadId tid, unsigned &first, unsigned &count) const
     count = cfg.wayPartition[tid];
 }
 
-Cache::Line *
-Cache::findLine(Addr addr)
+std::size_t
+Cache::findWay(Addr addr) const
 {
     Addr blk = blockAddr(addr);
-    std::uint64_t set = blk & (sets - 1);
-    Line *row = &lines[set * cfg.assoc];
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (row[w].valid && row[w].tag == blk)
-            return &row[w];
+    std::size_t row = rowOf(addr);
+    for (std::size_t w = row; w < row + cfg.assoc; ++w) {
+        if (lines[w] == blk)
+            return w;
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
+    return noWay;
 }
 
 bool
-Cache::access(ThreadId tid, Addr addr)
+Cache::access(ThreadId tid, Addr addr, bool dirty)
 {
-    Line *line = findLine(addr);
-    if (line) {
-        line->lastUse = ++useClock;
+    std::size_t way = findWay(addr);
+    if (way != noWay) {
+        std::uint64_t &stamp = lines[way + cfg.assoc];
+        stamp = ++useClock << 1 | (stamp & 1) | dirty;
         ++hitCount[tid];
         return true;
     }
@@ -84,24 +81,20 @@ Cache::access(ThreadId tid, Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    return findWay(addr) != noWay;
 }
 
 bool
 Cache::insert(ThreadId tid, Addr addr, bool dirty, bool &evicted_dirty)
 {
     evicted_dirty = false;
-    Addr blk = blockAddr(addr);
-    std::uint64_t set = blk & (sets - 1);
-    Line *row = &lines[set * cfg.assoc];
 
     // Already present (e.g. racing prefetch): refresh.
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (row[w].valid && row[w].tag == blk) {
-            row[w].lastUse = ++useClock;
-            row[w].dirty = row[w].dirty || dirty;
-            return false;
-        }
+    std::size_t hit = findWay(addr);
+    if (hit != noWay) {
+        std::uint64_t &stamp = lines[hit + cfg.assoc];
+        stamp = ++useClock << 1 | (stamp & 1) | dirty;
+        return false;
     }
 
     unsigned first = 0, count = 0;
@@ -109,36 +102,41 @@ Cache::insert(ThreadId tid, Addr addr, bool dirty, bool &evicted_dirty)
     STRETCH_ASSERT(count > 0, "thread ", unsigned(tid),
                    " has zero ways in partition");
 
-    Line *victim = nullptr;
-    for (unsigned w = first; w < first + count; ++w) {
-        if (!row[w].valid) {
-            victim = &row[w];
+    // Victim: the first empty way, otherwise the least recently used.
+    std::size_t begin = rowOf(addr) + first;
+    const std::uint64_t *stamps = &lines[cfg.assoc];
+    std::size_t victim = begin;
+    for (std::size_t w = begin; w < begin + count; ++w) {
+        if (lines[w] == emptyTag) {
+            victim = w;
             break;
         }
-        if (!victim || row[w].lastUse < victim->lastUse)
-            victim = &row[w];
+        if (stamps[w] < stamps[victim])
+            victim = w;
     }
-    bool evicted = victim->valid;
-    evicted_dirty = victim->valid && victim->dirty;
-    victim->valid = true;
-    victim->tag = blk;
-    victim->dirty = dirty;
-    victim->lastUse = ++useClock;
+    std::uint64_t &stamp = lines[victim + cfg.assoc];
+    bool evicted = lines[victim] != emptyTag;
+    evicted_dirty = evicted && (stamp & 1);
+    lines[victim] = blockAddr(addr);
+    stamp = ++useClock << 1 | dirty;
     return evicted;
 }
 
 void
 Cache::setDirty(Addr addr)
 {
-    if (Line *line = findLine(addr))
-        line->dirty = true;
+    std::size_t way = findWay(addr);
+    if (way != noWay)
+        lines[way + cfg.assoc] |= 1;
 }
 
 void
 Cache::reset()
 {
-    for (auto &l : lines)
-        l = Line{};
+    for (std::size_t row = 0; row < lines.size(); row += 2 * cfg.assoc) {
+        std::fill_n(&lines[row], cfg.assoc, emptyTag);
+        std::fill_n(&lines[row + cfg.assoc], cfg.assoc, 0);
+    }
     useClock = 0;
     for (auto &h : hitCount)
         h = 0;

@@ -46,9 +46,16 @@ class Cache
     /**
      * Look up a block; on hit, updates LRU.
      * @param tid requesting thread (relevant when way-partitioned).
+     * @param dirty on hit, also mark the block dirty (store hit).
      * @return true on hit.
      */
-    bool access(ThreadId tid, Addr addr);
+    bool access(ThreadId tid, Addr addr, bool dirty = false);
+
+    /**
+     * Count a miss for @p tid without a lookup: the caller knows the block
+     * is still absent because nothing was installed since its last miss.
+     */
+    void countMiss(ThreadId tid) { ++missCount[tid]; }
 
     /** Hit test without disturbing replacement state. */
     bool probe(Addr addr) const;
@@ -93,23 +100,33 @@ class Cache
     /// @}
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Tag of an empty way; no block address (addr >> 6) reaches it. */
+    static constexpr Addr emptyTag = ~Addr(0);
+    /** Way index meaning "not present". */
+    static constexpr std::size_t noWay = ~std::size_t(0);
 
     /** Ways reserved for a thread: [firstWay, firstWay+numWays). */
     void threadWays(ThreadId tid, unsigned &first, unsigned &count) const;
 
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    /** Index in lines of the first tag of @p addr's set. */
+    std::size_t
+    rowOf(Addr addr) const
+    {
+        return (blockAddr(addr) & (sets - 1)) * 2 * cfg.assoc;
+    }
+
+    /** Index in lines of the tag holding @p addr's block, or noWay. */
+    std::size_t findWay(Addr addr) const;
 
     CacheConfig cfg;
     std::uint64_t sets;
-    std::vector<Line> lines; // sets * assoc, row-major by set
+    /**
+     * Row-major by set: assoc tags, then assoc stamps; the stamp of the
+     * way whose tag is at i sits at i + assoc. A stamp is
+     * lastUse << 1 | dirty. lastUse values are unique, so the least stamp
+     * is the least recently used way.
+     */
+    std::vector<std::uint64_t> lines;
     std::uint64_t useClock = 0;
     std::uint64_t hitCount[numSmtThreads] = {0, 0};
     std::uint64_t missCount[numSmtThreads] = {0, 0};

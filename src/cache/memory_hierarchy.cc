@@ -45,31 +45,27 @@ MemoryHierarchy::l1iFor(ThreadId tid)
     return cfg.sharedL1i ? l1i[0] : l1i[tid];
 }
 
-Cache &
-MemoryHierarchy::l1dFor(ThreadId tid)
-{
-    return cfg.sharedL1d ? l1d[0] : l1d[tid];
-}
-
 void
-MemoryHierarchy::tick(Cycle now)
+MemoryHierarchy::completeFills(Cycle now)
 {
-    if (bankCycle != now) {
-        bankCycle = now;
-        bankBusy = {0, 0};
-    }
-    // Complete due fills: install into the L1-D and release the MSHR.
-    for (auto &file : mshrFiles) {
-        for (auto &m : file) {
-            if (m.valid && m.readyCycle <= now) {
-                bool evicted_dirty = false;
-                l1dFor(m.tid).insert(m.tid, m.block << cacheBlockShift,
-                                     false, evicted_dirty);
-                // Dirty writeback timing is not modeled.
-                if (m.demand && m.toMemory)
-                    --demandOut[m.tid];
-                m.valid = false;
+    nextFill = ~Cycle(0);
+    for (unsigned inst = 0; inst < mshrFiles.size(); ++inst) {
+        for (auto &m : mshrFiles[inst]) {
+            if (!m.valid)
+                continue;
+            if (m.readyCycle > now) {
+                nextFill = std::min(nextFill, m.readyCycle);
+                continue;
             }
+            bool evicted_dirty = false;
+            l1d[inst].insert(m.tid, m.block << cacheBlockShift, false,
+                             evicted_dirty);
+            // Dirty writeback timing is not modeled.
+            if (m.demand && m.toMemory)
+                --demandOut[m.tid];
+            m.valid = false;
+            --mshrUsed[inst][m.tid];
+            ++epoch[inst];
         }
     }
 }
@@ -109,15 +105,26 @@ MemoryHierarchy::findMshr(unsigned inst, Addr block)
     return nullptr;
 }
 
-unsigned
-MemoryHierarchy::mshrInUse(unsigned inst, ThreadId tid) const
+MemoryHierarchy::Mshr *
+MemoryHierarchy::allocateMshr(unsigned inst, ThreadId tid, Addr addr,
+                              bool demand, Cycle now)
 {
-    unsigned n = 0;
-    for (const auto &m : mshrFiles[inst]) {
-        if (m.valid && m.tid == tid)
-            ++n;
+    for (auto &m : mshrFiles[inst]) {
+        if (m.valid)
+            continue;
+        m.valid = true;
+        m.demand = demand;
+        m.tid = tid;
+        m.block = blockAddr(addr);
+        unsigned lat = llcAccess(tid, addr);
+        m.readyCycle = now + lat;
+        m.toMemory = lat > cfg.llcLatency;
+        ++mshrUsed[inst][tid];
+        ++epoch[inst];
+        nextFill = std::min(nextFill, m.readyCycle);
+        return &m;
     }
-    return n;
+    return nullptr;
 }
 
 void
@@ -128,31 +135,16 @@ MemoryHierarchy::tryPrefetch(ThreadId tid, Addr pc, Addr addr, Cycle now)
     prefetchScratch.clear();
     prefetcher.observe(tid, pc, addr, prefetchScratch);
     unsigned inst = l1dInstance(tid);
-    Cache &cache = l1dFor(tid);
+    Cache &cache = l1d[inst];
     // Prefetches may not exhaust the thread's MSHR quota: two entries stay
     // reserved for demand misses so streams cannot starve random accesses.
     unsigned quota = cfg.mshrQuota[tid] > 2 ? cfg.mshrQuota[tid] - 2 : 0;
     for (Addr target : prefetchScratch) {
         if (cache.probe(target) || findMshr(inst, blockAddr(target)))
             continue;
-        if (mshrInUse(inst, tid) >= quota)
+        if (mshrUsed[inst][tid] >= quota ||
+            !allocateMshr(inst, tid, target, false, now))
             break;
-        Mshr *slot = nullptr;
-        for (auto &m : mshrFiles[inst]) {
-            if (!m.valid) {
-                slot = &m;
-                break;
-            }
-        }
-        if (!slot)
-            break;
-        slot->valid = true;
-        slot->demand = false;
-        slot->tid = tid;
-        slot->block = blockAddr(target);
-        unsigned lat = llcAccess(tid, target);
-        slot->readyCycle = now + lat;
-        slot->toMemory = lat > cfg.llcLatency;
     }
 }
 
@@ -162,23 +154,20 @@ MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
 {
     DataAccessResult res;
     unsigned inst = l1dInstance(tid);
-    Cache &cache = l1dFor(tid);
+    Cache &cache = l1d[inst];
 
     // Bank port arbitration: one access per bank per cycle.
     STRETCH_ASSERT(bankCycle == now,
                    "tick() must run before accesses each cycle");
-    unsigned bank = cache.bank(addr);
-    std::uint8_t mask = static_cast<std::uint8_t>(1u << bank);
+    std::uint8_t mask = bankBit(inst, addr);
     if (bankBusy[inst] & mask) {
         res.kind = DataAccessKind::BankBusy;
         res.readyCycle = now + 1;
         return res;
     }
 
-    if (cache.access(tid, addr)) {
+    if (cache.access(tid, addr, is_store)) {
         bankBusy[inst] |= mask;
-        if (is_store)
-            cache.setDirty(addr);
         ++l1dHitCount[tid];
         res.kind = DataAccessKind::Hit;
         res.readyCycle = now + (is_store ? 1 : cfg.l1dHitLatency);
@@ -187,8 +176,7 @@ MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
     }
 
     // Miss: merge into a pending MSHR if one covers this block.
-    Addr block = blockAddr(addr);
-    if (Mshr *m = findMshr(inst, block)) {
+    if (Mshr *m = findMshr(inst, blockAddr(addr))) {
         bankBusy[inst] |= mask;
         ++l1dMissCount[tid];
         if (!m->demand && !is_store) {
@@ -204,35 +192,16 @@ MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
     }
 
     // Need a fresh MSHR, subject to the per-thread quota.
-    if (mshrInUse(inst, tid) >= cfg.mshrQuota[tid]) {
+    const auto &used = mshrUsed[inst];
+    if (used[tid] >= cfg.mshrQuota[tid] || used[0] + used[1] >= cfg.mshrs) {
         ++mshrFullCount[tid];
         res.kind = DataAccessKind::MshrFull;
         res.readyCycle = now + 1;
         return res;
     }
-    Mshr *slot = nullptr;
-    for (auto &m : mshrFiles[inst]) {
-        if (!m.valid) {
-            slot = &m;
-            break;
-        }
-    }
-    if (!slot) {
-        ++mshrFullCount[tid];
-        res.kind = DataAccessKind::MshrFull;
-        res.readyCycle = now + 1;
-        return res;
-    }
-
     bankBusy[inst] |= mask;
     ++l1dMissCount[tid];
-    slot->valid = true;
-    slot->demand = !is_store;
-    slot->tid = tid;
-    slot->block = block;
-    unsigned lat = llcAccess(tid, addr);
-    slot->readyCycle = now + lat;
-    slot->toMemory = lat > cfg.llcLatency;
+    Mshr *slot = allocateMshr(inst, tid, addr, !is_store, now);
     if (slot->demand && slot->toMemory)
         ++demandOut[tid];
 
@@ -251,12 +220,6 @@ MemoryHierarchy::prefillLlc(ThreadId tid, const std::vector<Addr> &blocks)
         llc.insert(tid, a, false, evicted_dirty);
 }
 
-unsigned
-MemoryHierarchy::outstandingDemandMisses(ThreadId tid) const
-{
-    return demandOut[tid];
-}
-
 void
 MemoryHierarchy::reset()
 {
@@ -268,6 +231,10 @@ MemoryHierarchy::reset()
     prefetcher.reset();
     for (auto &file : mshrFiles)
         std::fill(file.begin(), file.end(), Mshr{});
+    mshrUsed = {};
+    for (auto &e : epoch)
+        ++e;
+    nextFill = ~Cycle(0);
     bankCycle = ~Cycle(0);
     bankBusy = {0, 0};
     demandOut = {0, 0};

@@ -20,6 +20,7 @@
 
 #include "cache/cache.h"
 #include "cache/prefetcher.h"
+#include "util/log.h"
 #include "util/types.h"
 
 namespace stretch
@@ -88,7 +89,16 @@ class MemoryHierarchy
      * free MSHRs) and reset per-cycle port arbitration. Call once per cycle
      * before any accesses for that cycle.
      */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (bankCycle != now) {
+            bankCycle = now;
+            bankBusy = {0, 0};
+        }
+        if (now >= nextFill)
+            completeFills(now);
+    }
 
     /**
      * Instruction fetch of one cache block.
@@ -108,6 +118,35 @@ class MemoryHierarchy
                                 bool is_store, Cycle now);
 
     /**
+     * MSHR epoch of the L1-D instance serving @p tid. It changes on every
+     * fill and every MSHR allocation (demand or prefetch), the only events
+     * that can turn an MshrFull access into anything else. Never 0.
+     */
+    std::uint64_t mshrEpoch(ThreadId tid) const
+    {
+        return epoch[l1dInstance(tid)];
+    }
+
+    /**
+     * Repeat an access to @p addr that returned MshrFull while mshrEpoch()
+     * read its current value: it gets MshrFull again, or BankBusy if its
+     * bank is taken this cycle. Same result and counters as dataAccess,
+     * without the tag walk or the MSHR scan.
+     */
+    DataAccessResult
+    repeatMshrFull(ThreadId tid, Addr addr, Cycle now)
+    {
+        unsigned inst = l1dInstance(tid);
+        STRETCH_ASSERT(bankCycle == now,
+                       "tick() must run before accesses each cycle");
+        if (bankBusy[inst] & bankBit(inst, addr))
+            return {DataAccessKind::BankBusy, now + 1};
+        l1d[inst].countMiss(tid);
+        ++mshrFullCount[tid];
+        return {DataAccessKind::MshrFull, now + 1};
+    }
+
+    /**
      * Pre-install a thread's steady-state blocks into its LLC partition
      * (stand-in for the long functional warming the paper's sampling
      * methodology performs).
@@ -116,7 +155,10 @@ class MemoryHierarchy
 
     /** Outstanding demand loads to *memory* (LLC misses), the quantity
      *  Figure 7 calls concurrent memory requests in flight. */
-    unsigned outstandingDemandMisses(ThreadId tid) const;
+    unsigned outstandingDemandMisses(ThreadId tid) const
+    {
+        return demandOut[tid];
+    }
 
     /** Drop all cached state and in-flight requests. */
     void reset();
@@ -156,7 +198,6 @@ class MemoryHierarchy
     };
 
     Cache &l1iFor(ThreadId tid);
-    Cache &l1dFor(ThreadId tid);
     unsigned l1dInstance(ThreadId tid) const
     {
         return cfg.sharedL1d ? 0 : tid;
@@ -165,8 +206,21 @@ class MemoryHierarchy
     /** LLC lookup + fill; returns total latency beyond L1. */
     unsigned llcAccess(ThreadId tid, Addr addr);
 
+    /** Bank-port bit of @p addr in its L1-D instance's busy mask. */
+    std::uint8_t
+    bankBit(unsigned inst, Addr addr) const
+    {
+        return static_cast<std::uint8_t>(1u << l1d[inst].bank(addr));
+    }
+
+    /** Install every due fill, in MSHR-array order, and free its MSHR. */
+    void completeFills(Cycle now);
+
     Mshr *findMshr(unsigned inst, Addr block);
-    unsigned mshrInUse(unsigned inst, ThreadId tid) const;
+    /** Claim the first free MSHR of @p inst for @p tid's miss on @p addr
+     *  and look the block up in the LLC; nullptr if the file is full. */
+    Mshr *allocateMshr(unsigned inst, ThreadId tid, Addr addr, bool demand,
+                       Cycle now);
     void tryPrefetch(ThreadId tid, Addr pc, Addr addr, Cycle now);
 
     HierarchyConfig cfg;
@@ -175,8 +229,13 @@ class MemoryHierarchy
     Cache llc;
     StridePrefetcher prefetcher;
 
-    // One MSHR file per L1-D instance.
+    // One MSHR file per L1-D instance, with its valid entries counted per
+    // thread, its epoch (see mshrEpoch) and, over all files, the earliest
+    // readyCycle of a valid entry (~0 when none).
     std::vector<std::vector<Mshr>> mshrFiles;
+    std::array<std::array<unsigned, numSmtThreads>, 2> mshrUsed{};
+    std::array<std::uint64_t, 2> epoch{1, 1};
+    Cycle nextFill = ~Cycle(0);
 
     // Per-cycle bank arbitration for the (up to two) L1-D instances.
     Cycle bankCycle = ~Cycle(0);

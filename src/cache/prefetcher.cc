@@ -14,22 +14,25 @@ StridePrefetcher::observe(ThreadId tid, Addr pc, Addr addr,
 {
     // Fully-associative lookup over the small table.
     Entry *entry = nullptr;
-    Entry *victim = nullptr;
     for (auto &e : table) {
-        if (e.valid && e.pc == pc && e.tid == tid) {
+        if (e.pc == pc && e.tid == tid && e.valid) {
             entry = &e;
             break;
-        }
-        if (!e.valid) {
-            if (!victim || victim->valid)
-                victim = &e;
-        } else if (!victim || (victim->valid && e.lastUse < victim->lastUse)) {
-            victim = &e;
         }
     }
 
     if (!entry) {
-        // Allocate a fresh stream.
+        // Allocate a fresh stream in the first free entry, otherwise in
+        // the least recently used one.
+        Entry *victim = &table[0];
+        for (auto &e : table) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lastUse < victim->lastUse)
+                victim = &e;
+        }
         *victim = Entry{};
         victim->valid = true;
         victim->pc = pc;

@@ -49,10 +49,10 @@ class StridePrefetcher
         Addr pc = 0;
         Addr lastAddr = 0;
         std::int64_t stride = 0;
-        std::uint8_t confidence = 0;
-        bool valid = false;
         std::uint64_t lastUse = 0;
         ThreadId tid = 0;
+        std::uint8_t confidence = 0;
+        bool valid = false;
     };
 
     unsigned streams;

@@ -28,32 +28,4 @@ PartitionedResource::configure(ShareMode mode, unsigned limit0,
     limitReg = {limit0, limit1};
 }
 
-bool
-PartitionedResource::canAllocate(ThreadId tid) const
-{
-    if (usageReg[tid] >= limitReg[tid])
-        return false;
-    if (shareMode == ShareMode::Dynamic &&
-        usageReg[0] + usageReg[1] >= totalEntries) {
-        return false;
-    }
-    return true;
-}
-
-void
-PartitionedResource::allocate(ThreadId tid)
-{
-    STRETCH_ASSERT(canAllocate(tid), name, ": allocate past limit, thread ",
-                   unsigned(tid));
-    ++usageReg[tid];
-}
-
-void
-PartitionedResource::release(ThreadId tid)
-{
-    STRETCH_ASSERT(usageReg[tid] > 0, name, ": release below zero, thread ",
-                   unsigned(tid));
-    --usageReg[tid];
-}
-
 } // namespace stretch

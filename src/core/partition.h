@@ -18,6 +18,7 @@
 #include <array>
 #include <string>
 
+#include "util/log.h"
 #include "util/types.h"
 
 namespace stretch
@@ -63,13 +64,32 @@ class PartitionedResource
     void configure(ShareMode mode, unsigned limit0, unsigned limit1);
 
     /** True if thread @p tid may allocate one more entry. */
-    bool canAllocate(ThreadId tid) const;
+    bool
+    canAllocate(ThreadId tid) const
+    {
+        if (usageReg[tid] >= limitReg[tid])
+            return false;
+        return shareMode != ShareMode::Dynamic ||
+               usageReg[0] + usageReg[1] < totalEntries;
+    }
 
     /** Consume one entry (must be preceded by canAllocate). */
-    void allocate(ThreadId tid);
+    void
+    allocate(ThreadId tid)
+    {
+        STRETCH_ASSERT(canAllocate(tid), name,
+                       ": allocate past limit, thread ", unsigned(tid));
+        ++usageReg[tid];
+    }
 
     /** Return one entry. */
-    void release(ThreadId tid);
+    void
+    release(ThreadId tid)
+    {
+        STRETCH_ASSERT(usageReg[tid] > 0, name,
+                       ": release below zero, thread ", unsigned(tid));
+        --usageReg[tid];
+    }
 
     /** Value of the usage register. */
     unsigned usage(ThreadId tid) const { return usageReg[tid]; }

@@ -15,8 +15,12 @@ SmtCore::SmtCore(const CoreParams &params, MemoryHierarchy &hierarchy,
     STRETCH_ASSERT(params.fetchWidth > 0 && params.commitWidth > 0 &&
                        params.dispatchWidth > 0 && params.issueWidth > 0,
                    "zero pipeline width");
-    for (auto &ts : threads)
+    evRing.fill(noLink);
+    for (auto &ts : threads) {
+        ts.fetchQ.resize(params.fetchBufferEntries);
         ts.ring.resize(params.robEntries);
+        ts.ready.assign((params.robEntries + 63) / 64, 0);
+    }
     // Default: Intel-style equal static partitioning (Section IV-B).
     robRes.configure(ShareMode::Partitioned, params.robEntries / 2,
                      params.robEntries / 2);
@@ -28,10 +32,10 @@ void
 SmtCore::attachThread(ThreadId tid, TraceGenerator *gen)
 {
     STRETCH_ASSERT(tid < numSmtThreads, "bad thread id");
-    STRETCH_ASSERT(threads[tid].count == 0 && threads[tid].fetchBuf.empty(),
+    STRETCH_ASSERT(threads[tid].count == 0 && threads[tid].fetchCount == 0,
                    "attachThread with instructions in flight");
     threads[tid].gen = gen;
-    threads[tid].pendingValid = false;
+    threads[tid].pending = nullptr;
     threads[tid].fetchBlockedUntil = curCycle;
     threads[tid].waitingBranch = false;
     threads[tid].regSeq.fill(0);
@@ -53,9 +57,9 @@ unsigned
 SmtCore::icount(ThreadId tid) const
 {
     const ThreadState &ts = threads[tid];
-    if (!ts.gen && ts.count == 0 && ts.fetchBuf.empty())
+    if (!ts.gen && ts.count == 0 && ts.fetchCount == 0)
         return ~0u; // detached thread never wins selection
-    return static_cast<unsigned>(ts.fetchBuf.size()) + robRes.usage(tid);
+    return ts.fetchCount + robRes.usage(tid);
 }
 
 ThreadId
@@ -89,7 +93,7 @@ void
 SmtCore::fetchThread(ThreadId tid, unsigned &budget)
 {
     ThreadState &ts = threads[tid];
-    if (!ts.gen && !ts.pendingValid)
+    if (!ts.gen && !ts.pending)
         return;
     if (curCycle < ts.fetchBlockedUntil || ts.waitingBranch)
         return;
@@ -98,14 +102,13 @@ SmtCore::fetchThread(ThreadId tid, unsigned &budget)
     unsigned branches_seen = 0;
     Addr last_block = ~Addr(0);
 
-    while (budget > 0 && ts.fetchBuf.size() < params.fetchBufferEntries) {
-        if (!ts.pendingValid) {
+    while (budget > 0 && ts.fetchCount < params.fetchBufferEntries) {
+        if (!ts.pending) {
             if (!ts.gen)
                 break;
-            ts.pending = ts.gen->next();
-            ts.pendingValid = true;
+            ts.pending = &ts.gen->next();
         }
-        const MicroOp &op = ts.pending;
+        const MicroOp &op = *ts.pending;
 
         // Fetch-group limit: at most fetchMaxBlocks cache blocks.
         Addr blk = blockAddr(op.pc);
@@ -126,7 +129,7 @@ SmtCore::fetchThread(ThreadId tid, unsigned &budget)
         if (is_branch && branches_seen >= params.fetchMaxBranches)
             break;
 
-        FetchedOp fo{op, false};
+        bool mispredicted = false;
         bool group_ends = false;
         if (is_branch) {
             ++branches_seen;
@@ -142,7 +145,7 @@ SmtCore::fetchThread(ThreadId tid, unsigned &budget)
                 // Wrong direction: stop fetching this thread until the
                 // branch resolves in the back-end.
                 ++tstats[tid].branchMispredicts;
-                fo.mispredicted = true;
+                mispredicted = true;
                 ts.waitingBranch = true;
                 ts.blockReason = FetchBlock::BranchResolve;
                 group_ends = true;
@@ -158,8 +161,13 @@ SmtCore::fetchThread(ThreadId tid, unsigned &budget)
             }
         }
 
-        ts.fetchBuf.push_back(fo);
-        ts.pendingValid = false;
+        std::uint32_t tail = ts.fetchHead + ts.fetchCount;
+        if (tail >= params.fetchBufferEntries)
+            tail -= params.fetchBufferEntries;
+        ts.fetchQ[tail] = {op.pc,   op.effAddr, op.cls,      op.dest,
+                           op.src1, op.src2,    mispredicted};
+        ++ts.fetchCount;
+        ts.pending = nullptr;
         --budget;
         ++tstats[tid].fetchedOps;
         if (group_ends)
@@ -194,9 +202,9 @@ void
 SmtCore::dispatchThread(ThreadId tid, unsigned &budget)
 {
     ThreadState &ts = threads[tid];
-    while (budget > 0 && !ts.fetchBuf.empty()) {
-        const FetchedOp &fo = ts.fetchBuf.front();
-        bool is_mem = fo.op.isMem();
+    while (budget > 0 && ts.fetchCount > 0) {
+        const FetchedOp &fo = ts.fetchQ[ts.fetchHead];
+        bool is_mem = fo.cls == OpClass::Load || fo.cls == OpClass::Store;
         if (!robRes.canAllocate(tid)) {
             ++tstats[tid].dispatchStallRob;
             break;
@@ -208,47 +216,57 @@ SmtCore::dispatchThread(ThreadId tid, unsigned &budget)
 
         std::uint32_t slot = slotIndex(ts, ts.count);
         Entry &e = ts.ring[slot];
-        STRETCH_ASSERT(!e.valid, "ROB ring overwrite");
-        e.op = fo.op;
+        STRETCH_ASSERT(e.state == EntryState::Free, "ROB ring overwrite");
         e.seq = seqCounter++;
+        e.pc = fo.pc;
+        e.effAddr = fo.effAddr;
+        e.mshrFullEpoch = 0;
+        e.firstDep = noLink;
+        e.cls = fo.cls;
+        e.dest = fo.dest;
         e.state = EntryState::Waiting;
         e.waitCount = 0;
-        e.valid = true;
         e.mispredicted = fo.mispredicted;
-        e.consumers.clear();
         ++ts.count;
         robRes.allocate(tid);
         if (is_mem)
             lsqRes.allocate(tid);
 
         // Register the entry with its producers (RAW dependences). Base
-        // registers (< 8) are always ready.
-        auto addDep = [&](std::uint8_t r) {
+        // registers (< 8) are always ready. A register with a producer
+        // seq has an in-flight writer that has not completed: completion
+        // clears the seq, and nothing leaves the ROB before completing.
+        auto addDep = [&](unsigned src, std::uint8_t r) {
             if (r == noReg || r < 8)
                 return;
             std::uint64_t pseq = ts.regSeq[r];
             if (pseq == 0)
                 return;
             Entry &p = ts.ring[ts.regSlot[r]];
-            if (p.valid && p.seq == pseq && p.state != EntryState::Done) {
-                p.consumers.push_back({slot, e.seq});
-                ++e.waitCount;
-            }
+            STRETCH_ASSERT(p.seq == pseq && p.state != EntryState::Free &&
+                               p.state != EntryState::Done,
+                           "register ", unsigned(r),
+                           " maps to a stale producer");
+            e.nextDep[src] = p.firstDep;
+            p.firstDep = slot << 1 | src;
+            ++e.waitCount;
         };
-        addDep(e.op.src1);
-        addDep(e.op.src2);
+        addDep(0, fo.src1);
+        addDep(1, fo.src2);
 
-        if (e.op.dest != noReg && e.op.dest >= 8) {
-            ts.regSeq[e.op.dest] = e.seq;
-            ts.regSlot[e.op.dest] = slot;
+        if (e.dest != noReg && e.dest >= 8) {
+            ts.regSeq[e.dest] = e.seq;
+            ts.regSlot[e.dest] = slot;
         }
 
         if (e.waitCount == 0) {
             e.state = EntryState::Ready;
-            ts.readyList.push_back(slot);
+            setReady(ts, slot);
         }
 
-        ts.fetchBuf.pop_front();
+        if (++ts.fetchHead == params.fetchBufferEntries)
+            ts.fetchHead = 0;
+        --ts.fetchCount;
         --budget;
     }
 }
@@ -265,149 +283,145 @@ SmtCore::doDispatch()
 }
 
 void
-SmtCore::scheduleCompletion(ThreadId tid, std::uint32_t slot,
-                            std::uint64_t seq, Cycle when)
+SmtCore::scheduleCompletion(ThreadId tid, std::uint32_t slot, Cycle when)
 {
     STRETCH_ASSERT(when > curCycle, "completion must be in the future");
     STRETCH_ASSERT(when - curCycle < evRingSize,
                    "completion beyond event-ring horizon");
-    evRing[when % evRingSize].push_back({tid, slot, seq});
+    std::uint32_t &head = evRing[when % evRingSize];
+    threads[tid].ring[slot].nextEvent = head;
+    head = slot << 1 | tid;
+}
+
+std::uint32_t
+SmtCore::nextReady(const ThreadState &ts, std::uint32_t nth) const
+{
+    while (nth < ts.count) {
+        std::uint32_t slot = slotIndex(ts, nth);
+        std::uint32_t bit = slot & 63;
+        std::uint64_t word = ts.ready[slot >> 6] >> bit;
+        // A set bit past the youngest entry can only be an older entry
+        // seen again after the walk wrapped into the head's word.
+        if (word)
+            return std::min(nth + __builtin_ctzll(word), ts.count);
+        nth += std::min(64 - bit, params.robEntries - slot);
+    }
+    return ts.count;
 }
 
 void
 SmtCore::doIssue()
 {
-    // Gather ready candidates from both threads, oldest first.
-    issueScratch.clear();
-    for (ThreadId t = 0; t < numSmtThreads; ++t) {
-        ThreadState &ts = threads[t];
-        auto keep = ts.readyList.begin();
-        for (std::uint32_t slot : ts.readyList) {
-            Entry &e = ts.ring[slot];
-            if (e.valid && e.state == EntryState::Ready) {
-                issueScratch.push_back({e.seq, t, slot});
-                *keep++ = slot;
-            }
-        }
-        ts.readyList.erase(keep, ts.readyList.end());
-    }
-    std::sort(issueScratch.begin(), issueScratch.end(),
-              [](const IssueCand &a, const IssueCand &b) {
-                  return a.seq < b.seq;
-              });
-
     unsigned budget = params.issueWidth;
     unsigned alu = params.intAluCount;
     unsigned mul = params.intMulCount;
     unsigned fpu = params.fpuCount;
     unsigned lsu = params.lsuCount;
 
-    for (const IssueCand &cand : issueScratch) {
-        if (budget == 0)
+    // Oldest first: walk each thread's ready set in ring order from its
+    // head (age order within a thread) and merge the two walks on seq.
+    // Issuing books only future completions, so no op turns Ready here.
+    struct Cursor
+    {
+        std::uint32_t nth;
+        std::uint32_t slot;
+        std::uint64_t seq; ///< ~0 once the walk has passed the youngest
+    };
+    std::array<Cursor, numSmtThreads> cur;
+    auto seek = [&](ThreadId t, std::uint32_t from) {
+        const ThreadState &ts = threads[t];
+        Cursor &c = cur[t];
+        c.nth = nextReady(ts, from);
+        c.slot = slotIndex(ts, c.nth);
+        c.seq = c.nth < ts.count ? ts.ring[c.slot].seq : ~std::uint64_t(0);
+    };
+    seek(0, 0);
+    seek(1, 0);
+    while (budget > 0) {
+        ThreadId tid = cur[1].seq < cur[0].seq ? 1 : 0;
+        if (cur[tid].seq == ~std::uint64_t(0))
             break;
-        ThreadState &ts = threads[cand.tid];
-        Entry &e = ts.ring[cand.slot];
-        if (!e.valid || e.seq != cand.seq || e.state != EntryState::Ready)
-            continue;
+        ThreadState &ts = threads[tid];
+        std::uint32_t slot = cur[tid].slot;
+        seek(tid, cur[tid].nth + 1);
+        Entry &e = ts.ring[slot];
 
-        switch (e.op.cls) {
+        Cycle done = 0;
+        switch (e.cls) {
           case OpClass::IntAlu:
-          case OpClass::Branch: {
+          case OpClass::Branch:
             if (alu == 0)
                 continue;
             --alu;
-            unsigned lat = e.op.cls == OpClass::Branch
-                               ? params.branchLatency
-                               : params.intAluLatency;
-            e.state = EntryState::Issued;
-            scheduleCompletion(cand.tid, cand.slot, e.seq, curCycle + lat);
-            --budget;
+            done = curCycle + (e.cls == OpClass::Branch
+                                   ? params.branchLatency
+                                   : params.intAluLatency);
             break;
-          }
-          case OpClass::IntMul: {
+          case OpClass::IntMul:
             if (mul == 0)
                 continue;
             --mul;
-            e.state = EntryState::Issued;
-            scheduleCompletion(cand.tid, cand.slot, e.seq,
-                               curCycle + params.intMulLatency);
-            --budget;
+            done = curCycle + params.intMulLatency;
             break;
-          }
-          case OpClass::FpAlu: {
+          case OpClass::FpAlu:
             if (fpu == 0)
                 continue;
             --fpu;
-            e.state = EntryState::Issued;
-            scheduleCompletion(cand.tid, cand.slot, e.seq,
-                               curCycle + params.fpuLatency);
-            --budget;
+            done = curCycle + params.fpuLatency;
             break;
-          }
           case OpClass::Load:
           case OpClass::Store: {
             if (lsu == 0)
                 continue;
-            bool is_store = e.op.cls == OpClass::Store;
-            DataAccessResult res = mem.dataAccess(cand.tid, e.op.pc,
-                                                  e.op.effAddr, is_store,
-                                                  curCycle);
-            if (res.kind == DataAccessKind::BankBusy ||
-                res.kind == DataAccessKind::MshrFull) {
-                // Replay next cycle; stays in the ready list.
+            bool is_store = e.cls == OpClass::Store;
+            DataAccessResult res =
+                e.mshrFullEpoch == mem.mshrEpoch(tid)
+                    ? mem.repeatMshrFull(tid, e.effAddr, curCycle)
+                    : mem.dataAccess(tid, e.pc, e.effAddr, is_store,
+                                     curCycle);
+            // Replay next cycle; stays in the ready set.
+            if (res.kind == DataAccessKind::MshrFull) {
+                e.mshrFullEpoch = mem.mshrEpoch(tid);
                 continue;
             }
+            if (res.kind == DataAccessKind::BankBusy)
+                continue;
             --lsu;
-            e.state = EntryState::Issued;
-            Cycle done = is_store ? curCycle + 1 : res.readyCycle;
+            done = is_store ? curCycle + 1 : res.readyCycle;
             if (done <= curCycle)
                 done = curCycle + 1;
-            scheduleCompletion(cand.tid, cand.slot, e.seq, done);
-            --budget;
             break;
           }
         }
-    }
-
-    // Rebuild ready lists: drop entries that issued.
-    for (ThreadId t = 0; t < numSmtThreads; ++t) {
-        ThreadState &ts = threads[t];
-        auto keep = ts.readyList.begin();
-        for (std::uint32_t slot : ts.readyList) {
-            Entry &e = ts.ring[slot];
-            if (e.valid && e.state == EntryState::Ready)
-                *keep++ = slot;
-        }
-        ts.readyList.erase(keep, ts.readyList.end());
+        e.state = EntryState::Issued;
+        clearReady(ts, slot);
+        scheduleCompletion(tid, slot, done);
+        --budget;
     }
 }
 
 void
-SmtCore::completeEntry(ThreadId tid, std::uint32_t slot)
+SmtCore::completeEntry(ThreadState &ts, std::uint32_t slot)
 {
-    ThreadState &ts = threads[tid];
     Entry &e = ts.ring[slot];
     e.state = EntryState::Done;
 
-    // Wake register consumers.
-    for (const Consumer &c : e.consumers) {
-        Entry &dep = ts.ring[c.slot];
-        if (dep.valid && dep.seq == c.seq &&
-            dep.state == EntryState::Waiting) {
-            STRETCH_ASSERT(dep.waitCount > 0, "wait count underflow");
-            if (--dep.waitCount == 0) {
-                dep.state = EntryState::Ready;
-                ts.readyList.push_back(c.slot);
-            }
+    // Wake register consumers. Each still waits: it is younger than this
+    // entry, so it cannot have left the ROB.
+    for (std::uint32_t dep = e.firstDep; dep != noLink;) {
+        std::uint32_t cslot = dep >> 1;
+        Entry &c = ts.ring[cslot];
+        dep = c.nextDep[dep & 1];
+        STRETCH_ASSERT(c.waitCount > 0, "wait count underflow");
+        if (--c.waitCount == 0) {
+            c.state = EntryState::Ready;
+            setReady(ts, cslot);
         }
     }
-    e.consumers.clear();
 
     // Clear the producer mapping if this entry is still the last writer.
-    if (e.op.dest != noReg && e.op.dest >= 8 &&
-        ts.regSeq[e.op.dest] == e.seq) {
-        ts.regSeq[e.op.dest] = 0;
-    }
+    if (e.dest != noReg && e.dest >= 8 && ts.regSeq[e.dest] == e.seq)
+        ts.regSeq[e.dest] = 0;
 
     // Resolved mispredicted branch: redirect fetch after the flush penalty.
     if (e.mispredicted) {
@@ -420,14 +434,17 @@ SmtCore::completeEntry(ThreadId tid, std::uint32_t slot)
 void
 SmtCore::doCompletions()
 {
-    auto &bucket = evRing[curCycle % evRingSize];
-    for (const Event &ev : bucket) {
-        ThreadState &ts = threads[ev.tid];
-        Entry &e = ts.ring[ev.slot];
-        if (e.valid && e.seq == ev.seq && e.state == EntryState::Issued)
-            completeEntry(ev.tid, ev.slot);
+    // Completions within a cycle commute, so list order does not matter.
+    std::uint32_t &head = evRing[curCycle % evRingSize];
+    for (std::uint32_t ev = head; ev != noLink;) {
+        ThreadState &ts = threads[ev & 1];
+        std::uint32_t slot = ev >> 1;
+        ev = ts.ring[slot].nextEvent;
+        STRETCH_ASSERT(ts.ring[slot].state == EntryState::Issued,
+                       "completion event for an entry that is not issued");
+        completeEntry(ts, slot);
     }
-    bucket.clear();
+    head = noLink;
 }
 
 void
@@ -441,18 +458,19 @@ SmtCore::doCommit()
         ThreadState &ts = threads[t];
         while (budget > 0 && ts.count > 0) {
             Entry &e = ts.ring[ts.head];
-            if (!e.valid || e.state != EntryState::Done)
+            if (e.state != EntryState::Done)
                 break;
-            if (e.op.isMem())
+            if (e.cls == OpClass::Load || e.cls == OpClass::Store)
                 lsqRes.release(t);
             robRes.release(t);
             ++tstats[t].committedOps;
-            if (e.op.cls == OpClass::Load)
+            if (e.cls == OpClass::Load)
                 ++tstats[t].loads;
-            else if (e.op.cls == OpClass::Store)
+            else if (e.cls == OpClass::Store)
                 ++tstats[t].stores;
-            e.valid = false;
-            ts.head = (ts.head + 1) % params.robEntries;
+            e.state = EntryState::Free;
+            if (++ts.head == params.robEntries)
+                ts.head = 0;
             --ts.count;
             --budget;
         }

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "bp/branch_unit.h"
@@ -167,30 +166,48 @@ class SmtCore
     unsigned robOccupancy(ThreadId tid) const { return robRes.usage(tid); }
 
   private:
-    /** In-flight instruction state. */
-    enum class EntryState : std::uint8_t { Waiting, Ready, Issued, Done };
+    /** In-flight instruction state; Free marks an empty ROB slot. */
+    enum class EntryState : std::uint8_t { Free, Waiting, Ready, Issued, Done };
 
-    /** Consumer record; the seq guards against slot reuse. */
-    struct Consumer
-    {
-        std::uint32_t slot;
-        std::uint64_t seq;
-    };
+    /** End of an intrusive list. */
+    static constexpr std::uint32_t noLink = ~std::uint32_t(0);
 
+    /**
+     * ROB entry: the fields issue, completion and commit read. Two kinds
+     * of intrusive list run through entries:
+     * - a producer's consumers: a link is the consumer's slot << 1 | the
+     *   source (0 or 1) that waits, and the consumer holds the next link
+     *   of that source's list in nextDep;
+     * - the completions due in one cycle: a link is slot << 1 | thread,
+     *   and the issued entry holds the next link in nextEvent.
+     */
     struct Entry
     {
-        MicroOp op;
         std::uint64_t seq = 0;
-        EntryState state = EntryState::Waiting;
+        Addr pc = 0;
+        Addr effAddr = 0;
+        /** Hierarchy mshrEpoch() when this access last got MshrFull
+         *  (0 = never). */
+        std::uint64_t mshrFullEpoch = 0;
+        std::uint32_t firstDep = noLink;
+        std::array<std::uint32_t, 2> nextDep{noLink, noLink};
+        std::uint32_t nextEvent = noLink;
+        OpClass cls = OpClass::IntAlu;
+        std::uint8_t dest = noReg;
+        EntryState state = EntryState::Free;
         std::uint8_t waitCount = 0;
-        bool valid = false;
         bool mispredicted = false; ///< resolves with a full flush penalty
-        std::vector<Consumer> consumers; ///< dependents (same thread)
     };
 
+    /** A fetched op: what dispatch reads. */
     struct FetchedOp
     {
-        MicroOp op;
+        Addr pc = 0;
+        Addr effAddr = 0;
+        OpClass cls = OpClass::IntAlu;
+        std::uint8_t dest = noReg;
+        std::uint8_t src1 = noReg;
+        std::uint8_t src2 = noReg;
         bool mispredicted = false;
     };
 
@@ -207,10 +224,14 @@ class SmtCore
     {
         TraceGenerator *gen = nullptr;
         FetchBlock blockReason = FetchBlock::None;
-        bool pendingValid = false;
-        MicroOp pending; ///< op fetched from the stream but not yet consumed
+        /** Op taken from the stream but not yet fetched (points into gen,
+         *  valid until its next next()); nullptr if none. */
+        const MicroOp *pending = nullptr;
 
-        std::deque<FetchedOp> fetchBuf;
+        // Fetch queue: a ring of fetchBufferEntries ops.
+        std::vector<FetchedOp> fetchQ;
+        std::uint32_t fetchHead = 0;
+        std::uint32_t fetchCount = 0;
         Cycle fetchBlockedUntil = 0;
         bool waitingBranch = false; ///< mispredict in flight; fetch stopped
 
@@ -224,14 +245,8 @@ class SmtCore
         std::array<std::uint64_t, numArchRegs> regSeq{};
         std::array<std::uint32_t, numArchRegs> regSlot{};
 
-        std::vector<std::uint32_t> readyList; ///< slots ready to issue
-    };
-
-    struct Event
-    {
-        ThreadId tid;
-        std::uint32_t slot;
-        std::uint64_t seq;
+        /** Ready set: bit s is set iff ring[s] is Ready. */
+        std::vector<std::uint64_t> ready;
     };
 
     // Pipeline stages (called oldest-to-youngest each cycle).
@@ -247,13 +262,30 @@ class SmtCore
     unsigned icount(ThreadId tid) const;
     ThreadId fetchPrimary();
 
-    void scheduleCompletion(ThreadId tid, std::uint32_t slot,
-                            std::uint64_t seq, Cycle when);
-    void completeEntry(ThreadId tid, std::uint32_t slot);
+    void scheduleCompletion(ThreadId tid, std::uint32_t slot, Cycle when);
+    void completeEntry(ThreadState &ts, std::uint32_t slot);
 
-    std::uint32_t slotIndex(const ThreadState &ts, std::uint32_t nth) const
+    std::uint32_t
+    slotIndex(const ThreadState &ts, std::uint32_t nth) const
     {
-        return (ts.head + nth) % params.robEntries;
+        std::uint32_t slot = ts.head + nth;
+        return slot >= params.robEntries ? slot - params.robEntries : slot;
+    }
+
+    /** Offset from the head of the first Ready entry at offset @p nth or
+     *  later; ts.count if there is none. */
+    std::uint32_t nextReady(const ThreadState &ts, std::uint32_t nth) const;
+
+    static void
+    setReady(ThreadState &ts, std::uint32_t slot)
+    {
+        ts.ready[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+    }
+
+    static void
+    clearReady(ThreadState &ts, std::uint32_t slot)
+    {
+        ts.ready[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
     }
 
     CoreParams params;
@@ -272,18 +304,10 @@ class SmtCore
     ThreadId commitRr = 0;
     ThreadId fetchRr = 0;
 
-    // Completion-event ring, indexed by cycle modulo its size.
+    // Completion-event ring: the head of each cycle's completion list,
+    // indexed by cycle modulo its size.
     static constexpr std::size_t evRingSize = 1024;
-    std::array<std::vector<Event>, evRingSize> evRing;
-
-    /** Issue candidate collected from the per-thread ready lists. */
-    struct IssueCand
-    {
-        std::uint64_t seq;
-        ThreadId tid;
-        std::uint32_t slot;
-    };
-    std::vector<IssueCand> issueScratch;
+    std::array<std::uint32_t, evRingSize> evRing;
 };
 
 } // namespace stretch

@@ -46,11 +46,11 @@ TraceGenerator::TraceGenerator(const SynthProfile &profile, std::uint64_t seed,
       pc(base + codeRegion),
       codeBlocks(std::max<std::uint64_t>(1, prof.codeBytes / cacheBlockBytes)),
       codeZipf(codeBlocks, prof.codeZipfTheta),
-      recentDests(64, noReg),
       chaseReg(std::max(1u, prof.chaseChains), noReg),
       streamCursor(streamSlots, 0)
 {
     STRETCH_ASSERT(prof.chaseChains <= 16, "too many chase chains");
+    recentDests.fill(noReg);
     // Chase chains own dedicated architectural registers [8, 8+chains) so
     // chain pointers are never clobbered by the rotating allocator; all
     // other destinations rotate above them.

@@ -11,6 +11,7 @@
 #ifndef STRETCH_WORKLOAD_GENERATOR_H
 #define STRETCH_WORKLOAD_GENERATOR_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -95,7 +96,7 @@ class TraceGenerator
     // Register state.
     std::uint8_t destCursor = 8;
     std::uint8_t lastDest = noReg;
-    std::vector<std::uint8_t> recentDests; // ring buffer
+    std::array<std::uint8_t, 64> recentDests; // ring buffer
     std::size_t recentHead = 0;
 
     // Pointer-chase chains: register currently holding each chain pointer.
