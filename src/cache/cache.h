@@ -52,10 +52,11 @@ class Cache
     bool access(ThreadId tid, Addr addr, bool dirty = false);
 
     /**
-     * Count a miss for @p tid without a lookup: the caller knows the block
-     * is still absent because nothing was installed since its last miss.
+     * Count @p n misses for @p tid without a lookup: the caller knows the
+     * block is still absent because nothing was installed since its last
+     * miss.
      */
-    void countMiss(ThreadId tid) { ++missCount[tid]; }
+    void countMiss(ThreadId tid, std::uint64_t n = 1) { missCount[tid] += n; }
 
     /** Hit test without disturbing replacement state. */
     bool probe(Addr addr) const;

@@ -167,6 +167,20 @@ class MemoryHierarchy
      *  warmup/measurement boundary). */
     void clearStats();
 
+    /**
+     * Count @p n MshrFull results of repeatMshrFull for @p tid at once,
+     * for accesses that found their bank free.
+     */
+    void
+    countMshrFullRepeats(ThreadId tid, std::uint64_t n)
+    {
+        l1d[l1dInstance(tid)].countMiss(tid, n);
+        mshrFullCount[tid] += n;
+    }
+
+    /** Earliest cycle at which tick() completes a fill; ~0 if none. */
+    Cycle nextFillCycle() const { return nextFill; }
+
     /// @name Statistics
     /// @{
     /** Completed demand accesses that hit the L1-D (retries excluded). */

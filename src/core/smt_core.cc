@@ -7,6 +7,20 @@
 namespace stretch
 {
 
+namespace
+{
+
+/** Cycle at which a run from @p start stops for its @p max_cycles cap.
+ *  A run takes at least one cycle. */
+Cycle
+stopCycle(Cycle start, std::uint64_t max_cycles)
+{
+    max_cycles = std::max<std::uint64_t>(max_cycles, 1);
+    return max_cycles < ~Cycle(0) - start ? start + max_cycles : ~Cycle(0);
+}
+
+} // namespace
+
 SmtCore::SmtCore(const CoreParams &params, MemoryHierarchy &hierarchy,
                  BranchUnit &branch_unit)
     : params(params), mem(hierarchy), bp(branch_unit),
@@ -478,28 +492,28 @@ SmtCore::doCommit()
 }
 
 void
-SmtCore::accountCycle()
+SmtCore::accountCycles(std::uint64_t n)
 {
     for (ThreadId t = 0; t < numSmtThreads; ++t) {
         ThreadState &ts = threads[t];
-        tstats[t].robOccupancySum += robRes.usage(t);
+        tstats[t].robOccupancySum += n * robRes.usage(t);
         unsigned mlp = mem.outstandingDemandMisses(t);
         if (mlp > 8)
             mlp = 8;
-        ++tstats[t].mlpCycles[mlp];
+        tstats[t].mlpCycles[mlp] += n;
         // Front-end stall attribution.
         if (ts.waitingBranch) {
-            ++tstats[t].fetchStallBranchResolve;
+            tstats[t].fetchStallBranchResolve += n;
         } else if (curCycle < ts.fetchBlockedUntil) {
             switch (ts.blockReason) {
               case FetchBlock::ICache:
-                ++tstats[t].fetchStallICache;
+                tstats[t].fetchStallICache += n;
                 break;
               case FetchBlock::BranchResolve:
-                ++tstats[t].fetchStallBranchResolve;
+                tstats[t].fetchStallBranchResolve += n;
                 break;
               case FetchBlock::BtbRedirect:
-                ++tstats[t].fetchStallBtbRedirect;
+                tstats[t].fetchStallBtbRedirect += n;
                 break;
               case FetchBlock::None:
                 break;
@@ -517,15 +531,96 @@ SmtCore::cycle()
     doIssue();
     doDispatch();
     doFetch();
-    accountCycle();
+    accountCycles(1);
     ++curCycle;
+}
+
+void
+SmtCore::skipIdle(Cycle limit)
+{
+    // No completion and no fill this cycle.
+    if (curCycle >= limit || evRing[curCycle % evRingSize] != noLink)
+        return;
+    Cycle wake = std::min(limit, mem.nextFillCycle());
+    if (wake <= curCycle)
+        return;
+
+    std::array<std::uint64_t, numSmtThreads> repeats{};
+    std::array<std::uint64_t *, numSmtThreads> dispatchStall{};
+    for (ThreadId t = 0; t < numSmtThreads; ++t) {
+        const ThreadState &ts = threads[t];
+        // Commit: the oldest entry has not completed.
+        if (ts.count > 0 && ts.ring[ts.head].state == EntryState::Done)
+            return;
+        // Issue: every ready op is a load or store that repeats MshrFull
+        // (an op that never got MshrFull holds epoch 0, which no
+        // hierarchy epoch takes). None can claim a bank, so each repeat
+        // finds its bank free.
+        std::uint64_t epoch = mem.mshrEpoch(t);
+        for (std::uint32_t n = nextReady(ts, 0); n < ts.count;
+             n = nextReady(ts, n + 1)) {
+            if (ts.ring[slotIndex(ts, n)].mshrFullEpoch != epoch)
+                return;
+            if (params.lsuCount > 0)
+                ++repeats[t];
+        }
+        // Dispatch: the op at the front of the fetch queue is blocked.
+        if (ts.fetchCount > 0) {
+            OpClass cls = ts.fetchQ[ts.fetchHead].cls;
+            if (!robRes.canAllocate(t))
+                dispatchStall[t] = &tstats[t].dispatchStallRob;
+            else if ((cls == OpClass::Load || cls == OpClass::Store) &&
+                     !lsqRes.canAllocate(t))
+                dispatchStall[t] = &tstats[t].dispatchStallLsq;
+            else
+                return;
+        }
+        // Fetch: the thread is stalled. A fetch block also ends the
+        // stall attribution, so it bounds the skip.
+        if (!ts.waitingBranch && curCycle < ts.fetchBlockedUntil) {
+            wake = std::min(wake, ts.fetchBlockedUntil);
+        } else if (!ts.waitingBranch && (ts.gen || ts.pending) &&
+                   ts.fetchCount < params.fetchBufferEntries) {
+            return;
+        }
+    }
+    // The next completion bounds the skip.
+    for (Cycle c = curCycle + 1; c < wake; ++c) {
+        if (evRing[c % evRingSize] != noLink) {
+            wake = c;
+            break;
+        }
+    }
+
+    Cycle n = wake - curCycle;
+    for (ThreadId t = 0; t < numSmtThreads; ++t) {
+        if (repeats[t] > 0)
+            mem.countMshrFullRepeats(t, n * repeats[t]);
+        if (dispatchStall[t])
+            *dispatchStall[t] += n;
+    }
+    accountCycles(n);
+    // Commit alternates its first thread every cycle; fetch alternates
+    // under round-robin, and under ICOUNT when the counts tie.
+    if (n % 2 == 1) {
+        commitRr = ThreadId(1) - commitRr;
+        if (params.fetchPolicy == FetchPolicy::RoundRobin ||
+            (params.fetchPolicy == FetchPolicy::Icount &&
+             icount(0) == icount(1)))
+            fetchRr = ThreadId(1) - fetchRr;
+    }
+    curCycle = wake;
 }
 
 void
 SmtCore::run(std::uint64_t n)
 {
-    for (std::uint64_t i = 0; i < n; ++i)
-        cycle();
+    Cycle end = curCycle + n;
+    while (curCycle < end) {
+        skipIdle(end);
+        if (curCycle < end)
+            cycle();
+    }
 }
 
 std::uint64_t
@@ -534,10 +629,13 @@ SmtCore::runUntilCommitted(ThreadId tid, std::uint64_t ops,
 {
     std::uint64_t target = tstats[tid].committedOps + ops;
     Cycle start = curCycle;
+    Cycle end = stopCycle(start, max_cycles);
     std::uint64_t last_progress_cycle = curCycle;
     std::uint64_t last_committed = tstats[tid].committedOps;
     while (tstats[tid].committedOps < target) {
-        cycle();
+        skipIdle(end);
+        if (curCycle < end)
+            cycle();
         if (tstats[tid].committedOps != last_committed) {
             last_committed = tstats[tid].committedOps;
             last_progress_cycle = curCycle;
@@ -545,7 +643,7 @@ SmtCore::runUntilCommitted(ThreadId tid, std::uint64_t ops,
         STRETCH_ASSERT(curCycle - last_progress_cycle < 100000,
                        "no commit progress on thread ", unsigned(tid),
                        " for 100K cycles: pipeline deadlock");
-        if (curCycle - start >= max_cycles)
+        if (curCycle >= end)
             break;
     }
     return curCycle - start;
@@ -557,10 +655,13 @@ SmtCore::runUntilTotalCommitted(std::uint64_t ops, std::uint64_t max_cycles)
     std::uint64_t target = tstats[0].committedOps + tstats[1].committedOps +
                            ops;
     Cycle start = curCycle;
+    Cycle end = stopCycle(start, max_cycles);
     std::uint64_t last_progress_cycle = curCycle;
     std::uint64_t committed = target - ops;
     while (tstats[0].committedOps + tstats[1].committedOps < target) {
-        cycle();
+        skipIdle(end);
+        if (curCycle < end)
+            cycle();
         std::uint64_t c = tstats[0].committedOps + tstats[1].committedOps;
         if (c != committed) {
             committed = c;
@@ -568,7 +669,7 @@ SmtCore::runUntilTotalCommitted(std::uint64_t ops, std::uint64_t max_cycles)
         }
         STRETCH_ASSERT(curCycle - last_progress_cycle < 100000,
                        "no commit progress for 100K cycles: deadlock");
-        if (curCycle - start >= max_cycles)
+        if (curCycle >= end)
             break;
     }
     return curCycle - start;

@@ -255,7 +255,15 @@ class SmtCore
     void doIssue();
     void doDispatch();
     void doFetch();
-    void accountCycle();
+    /** Per-cycle occupancy and stall counters, for @p n cycles alike. */
+    void accountCycles(std::uint64_t n);
+
+    /**
+     * Jump over the idle cycles from now up to @p limit: cycles in which
+     * no stage can do more than bump its per-cycle counters. Applies
+     * those counters for every cycle skipped, exactly as cycle() would.
+     */
+    void skipIdle(Cycle limit);
 
     void fetchThread(ThreadId tid, unsigned &budget);
     void dispatchThread(ThreadId tid, unsigned &budget);
