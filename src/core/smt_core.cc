@@ -584,8 +584,10 @@ SmtCore::skipIdle(Cycle limit)
             return;
         }
     }
-    // The next completion bounds the skip.
-    for (Cycle c = curCycle + 1; c < wake; ++c) {
+    // The next completion bounds the skip; every booked completion lies
+    // within the event ring's horizon.
+    Cycle horizon = std::min(wake, curCycle + evRingSize);
+    for (Cycle c = curCycle + 1; c < horizon; ++c) {
         if (evRing[c % evRingSize] != noLink) {
             wake = c;
             break;

@@ -182,6 +182,21 @@ TEST(Cache, Reset)
     EXPECT_FALSE(c.probe(0x40));
 }
 
+TEST(Cache, BlockZeroIsNotAnEmptyWay)
+{
+    // An empty way holds a sentinel tag, not block 0.
+    Cache c(tinyCache());
+    bool dirty = false;
+    EXPECT_FALSE(c.probe(0x0));
+    EXPECT_FALSE(c.access(0, 0x0));
+    EXPECT_FALSE(c.insert(0, 0x0, false, dirty)); // no valid victim
+    EXPECT_TRUE(c.access(0, 0x0));
+    EXPECT_TRUE(c.access(0, 0x3f));
+    EXPECT_FALSE(c.access(0, 0x40));
+    EXPECT_EQ(c.hits(0), 2u);
+    EXPECT_EQ(c.misses(0), 2u);
+}
+
 TEST(Cache, GeometryAccessors)
 {
     Cache c(CacheConfig{64 * 1024, 8, 2, {}});

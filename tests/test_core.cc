@@ -344,5 +344,121 @@ TEST(Core, MulAndFpLatenciesRespected)
     EXPECT_NEAR(m.core.uipc(0), 0.25, 0.05);
 }
 
+void
+expectSameStats(const ThreadStats &a, const ThreadStats &b)
+{
+    EXPECT_EQ(a.committedOps, b.committedOps);
+    EXPECT_EQ(a.fetchedOps, b.fetchedOps);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
+    EXPECT_EQ(a.btbTargetMisses, b.btbTargetMisses);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.dispatchStallRob, b.dispatchStallRob);
+    EXPECT_EQ(a.dispatchStallLsq, b.dispatchStallLsq);
+    EXPECT_EQ(a.robOccupancySum, b.robOccupancySum);
+    EXPECT_EQ(a.mlpCycles, b.mlpCycles);
+    EXPECT_EQ(a.fetchStallICache, b.fetchStallICache);
+    EXPECT_EQ(a.fetchStallBranchResolve, b.fetchStallBranchResolve);
+    EXPECT_EQ(a.fetchStallBtbRedirect, b.fetchStallBtbRedirect);
+}
+
+void
+expectSameMachine(const Machine &a, const Machine &b)
+{
+    EXPECT_EQ(a.core.now(), b.core.now());
+    for (ThreadId t = 0; t < numSmtThreads; ++t) {
+        SCOPED_TRACE(testing::Message() << "thread " << unsigned(t));
+        expectSameStats(a.core.stats(t), b.core.stats(t));
+        EXPECT_EQ(a.core.robOccupancy(t), b.core.robOccupancy(t));
+        EXPECT_EQ(a.core.lsq().usage(t), b.core.lsq().usage(t));
+        EXPECT_EQ(a.mem.l1dHits(t), b.mem.l1dHits(t));
+        EXPECT_EQ(a.mem.l1dMisses(t), b.mem.l1dMisses(t));
+        EXPECT_EQ(a.mem.l1iMisses(t), b.mem.l1iMisses(t));
+        EXPECT_EQ(a.mem.llcMisses(t), b.mem.llcMisses(t));
+        EXPECT_EQ(a.mem.mshrFullStalls(t), b.mem.mshrFullStalls(t));
+        EXPECT_EQ(a.mem.outstandingDemandMisses(t),
+                  b.mem.outstandingDemandMisses(t));
+    }
+}
+
+/** run() and runUntilCommitted() jump over idle cycles; the result must
+ *  equal stepping cycle() one at a time, under every fetch policy. */
+TEST(Core, IdleSkipMatchesSteppedCycles)
+{
+    struct Variant
+    {
+        const char *name;
+        FetchPolicy policy;
+        ThreadId throttled;
+        bool colocated;
+        bool sharedL1d;
+    };
+    const Variant variants[] = {
+        {"icount", FetchPolicy::Icount, 0, true, true},
+        {"round-robin", FetchPolicy::RoundRobin, 0, true, true},
+        {"throttle thread 0", FetchPolicy::Throttle, 0, true, true},
+        {"throttle thread 1", FetchPolicy::Throttle, 1, true, true},
+        {"private l1d", FetchPolicy::Icount, 0, true, false},
+        {"isolated", FetchPolicy::Icount, 0, false, true},
+    };
+    for (const Variant &v : variants) {
+        SCOPED_TRACE(v.name);
+        CoreParams params;
+        params.fetchPolicy = v.policy;
+        params.throttleRatio = 4;
+        params.throttledThread = v.throttled;
+        HierarchyConfig hcfg = Machine::fullMachineHierarchy();
+        hcfg.sharedL1d = v.sharedL1d;
+        Machine stepped(params, hcfg);
+        Machine skipping(params, hcfg);
+        TraceGenerator s0(workloads::byName("web_search"), 1, 0);
+        TraceGenerator s1(workloads::byName("mcf"), 2, 1);
+        TraceGenerator k0(workloads::byName("web_search"), 1, 0);
+        TraceGenerator k1(workloads::byName("mcf"), 2, 1);
+        stepped.mem.prefillLlc(0, s0.steadyStateBlocks());
+        skipping.mem.prefillLlc(0, k0.steadyStateBlocks());
+        stepped.core.attachThread(0, &s0);
+        skipping.core.attachThread(0, &k0);
+        if (v.colocated) {
+            stepped.mem.prefillLlc(1, s1.steadyStateBlocks());
+            skipping.mem.prefillLlc(1, k1.steadyStateBlocks());
+            stepped.core.attachThread(1, &s1);
+            skipping.core.attachThread(1, &k1);
+        }
+
+        for (int i = 0; i < 20000; ++i)
+            stepped.core.cycle();
+        skipping.core.run(20000);
+        expectSameMachine(stepped, skipping);
+
+        stepped.core.clearStats();
+        skipping.core.clearStats();
+        std::uint64_t target = 3000;
+        std::uint64_t cycles = 0;
+        while (stepped.core.stats(0).committedOps < target) {
+            stepped.core.cycle();
+            ++cycles;
+        }
+        EXPECT_EQ(skipping.core.runUntilCommitted(0, target), cycles);
+        expectSameMachine(stepped, skipping);
+
+        // A cycle cap ends the run at the same cycle.
+        EXPECT_EQ(skipping.core.runUntilCommitted(0, 1000000, 777), 777u);
+        for (int i = 0; i < 777; ++i)
+            stepped.core.cycle();
+        expectSameMachine(stepped, skipping);
+    }
+}
+
+TEST(Core, IdleSkipStillReportsDeadlock)
+{
+    // Nothing attached: every cycle is idle and nothing is ever due.
+    Machine m;
+    EXPECT_DEATH(m.core.runUntilCommitted(0, 1), "pipeline deadlock");
+    m.core.run(250000);
+    EXPECT_EQ(m.core.now(), 250000u);
+}
+
 } // namespace
 } // namespace stretch

@@ -2,12 +2,17 @@
  * @file
  * Unit tests for the memory hierarchy: latencies, MSHR allocation,
  * merging and quotas, bank conflicts, prefetch reservation, LLC
- * partitioning and pre-fill, and MLP accounting.
+ * partitioning and pre-fill, MLP accounting, and the MshrFull repeat
+ * path.
  */
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/memory_hierarchy.h"
+#include "util/rng.h"
 
 namespace stretch
 {
@@ -268,6 +273,104 @@ TEST(Hierarchy, Reset)
     mem.reset();
     EXPECT_EQ(mem.outstandingDemandMisses(0), 0u);
     EXPECT_EQ(mem.l1dMisses(0), 0u);
+}
+
+/** A load or store retried every cycle until the hierarchy takes it. */
+struct PendingAccess
+{
+    ThreadId tid;
+    Addr pc;
+    Addr addr;
+    bool store;
+    std::uint64_t fullEpoch = 0; ///< mshrEpoch at its last MshrFull
+};
+
+/**
+ * Drive one seeded access stream into two hierarchies: @p full always
+ * takes dataAccess, @p fast takes repeatMshrFull whenever the epoch
+ * allows it. Returns how many accesses took the repeat path.
+ */
+unsigned
+compareRepeatWithFullPath(const HierarchyConfig &cfg, std::uint64_t seed)
+{
+    MemoryHierarchy full(cfg);
+    MemoryHierarchy fast(cfg);
+    Rng rng(seed);
+    std::vector<PendingAccess> queue;
+    unsigned repeats = 0;
+    for (Cycle now = 0; now < 20000; ++now) {
+        full.tick(now);
+        fast.tick(now);
+        while (queue.size() < 16 && rng.chance(0.6)) {
+            PendingAccess a;
+            a.tid = static_cast<ThreadId>(rng.below(2));
+            a.pc = 0x400 + 4 * rng.below(24);
+            a.store = rng.chance(0.2);
+            // Strided pcs train the prefetcher; the rest pick a block
+            // another access waits on (either thread), a small hot
+            // region, a region both threads share, or cold blocks.
+            Addr region = Addr(a.tid + 1) << 32;
+            if (!queue.empty() && rng.chance(0.15))
+                a.addr = queue[rng.below(queue.size())].addr;
+            else if (a.pc < 0x420)
+                a.addr = region + (now / 8) * 64 * (a.pc - 0x3fc) / 4;
+            else if (rng.chance(0.3))
+                a.addr = region + 64 * rng.below(64);
+            else if (rng.chance(0.2))
+                a.addr = (Addr(3) << 32) + 64 * rng.below(32);
+            else
+                a.addr = region + (Addr(1) << 24) + 64 * rng.below(1 << 16);
+            queue.push_back(a);
+        }
+        // Start at a random point, so new accesses also claim banks
+        // ahead of the repeats.
+        std::rotate(queue.begin(),
+                    queue.begin() + rng.below(queue.size()), queue.end());
+        std::vector<PendingAccess> keep;
+        for (PendingAccess &a : queue) {
+            DataAccessResult want =
+                full.dataAccess(a.tid, a.pc, a.addr, a.store, now);
+            bool repeat = a.fullEpoch == fast.mshrEpoch(a.tid);
+            DataAccessResult got =
+                repeat ? fast.repeatMshrFull(a.tid, a.addr, now)
+                       : fast.dataAccess(a.tid, a.pc, a.addr, a.store, now);
+            repeats += repeat;
+            EXPECT_EQ(got.kind, want.kind) << "cycle " << now;
+            EXPECT_EQ(got.readyCycle, want.readyCycle) << "cycle " << now;
+            if (got.kind == DataAccessKind::MshrFull)
+                a.fullEpoch = fast.mshrEpoch(a.tid);
+            if (got.kind == DataAccessKind::MshrFull ||
+                got.kind == DataAccessKind::BankBusy)
+                keep.push_back(a);
+        }
+        queue.swap(keep);
+        for (ThreadId t = 0; t < numSmtThreads; ++t) {
+            EXPECT_EQ(fast.l1dHits(t), full.l1dHits(t));
+            EXPECT_EQ(fast.l1dMisses(t), full.l1dMisses(t));
+            EXPECT_EQ(fast.l1iMisses(t), full.l1iMisses(t));
+            EXPECT_EQ(fast.llcHits(t), full.llcHits(t));
+            EXPECT_EQ(fast.llcMisses(t), full.llcMisses(t));
+            EXPECT_EQ(fast.mshrFullStalls(t), full.mshrFullStalls(t));
+            EXPECT_EQ(fast.outstandingDemandMisses(t),
+                      full.outstandingDemandMisses(t));
+        }
+        EXPECT_EQ(fast.prefetchesIssued(), full.prefetchesIssued());
+        if (testing::Test::HasFailure())
+            break;
+    }
+    return repeats;
+}
+
+TEST(Hierarchy, RepeatedMshrFullMatchesFullAccess)
+{
+    HierarchyConfig shared;
+    shared.mshrQuota = {5, 4};
+    EXPECT_GT(compareRepeatWithFullPath(shared, 11), 10000u);
+
+    HierarchyConfig priv = shared;
+    priv.sharedL1d = false;
+    priv.mshrQuota = {10, 6};
+    EXPECT_GT(compareRepeatWithFullPath(priv, 12), 10000u);
 }
 
 } // namespace
