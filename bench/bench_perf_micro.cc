@@ -4,10 +4,12 @@
  * the main building blocks, useful for tracking regressions in the
  * simulation infrastructure itself.
  *
- * The `BM_Engine*` / `BM_Dispatch*` benches are the end-to-end event
- * engine throughput trajectory: `items_per_second` is simulated requests
- * per wall-clock second (each iteration processes a fixed request
- * count). Snapshots are committed as `BENCH_baseline.json` via
+ * The `BM_Engine*` / `BM_Dispatch*` / `BM_Cluster*` benches are the
+ * end-to-end event engine throughput trajectory: `items_per_second` is
+ * simulated requests per wall-clock second (each iteration processes a
+ * fixed request count). The `BM_Core*` benches track the cycle-level
+ * core: simulated cycles per second, and cold operating points per
+ * second. Snapshots are committed as `BENCH_baseline.json` via
  * `tools/bench_to_json.py` and guarded by
  * `tools/bench_regression_check.py` in the CI bench job.
  */
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "bp/branch_unit.h"
+#include "common.h"
 #include "cache/memory_hierarchy.h"
 #include "cluster/cluster.h"
 #include "core/smt_core.h"
@@ -25,6 +28,7 @@
 #include "queueing/event_engine.h"
 #include "queueing/request_sim.h"
 #include "sim/fleet.h"
+#include "sim/runner.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -93,6 +97,22 @@ BM_CoreCycleColocated(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoreCycleColocated);
+
+/** One cold operating point: a serial sim::run of web_search + mcf at
+ *  the figure benches' default sampling (no op-point cache).
+ *  items_per_second is operating points per second. */
+void
+BM_CoreRunColdOpPoint(benchmark::State &state)
+{
+    sim::RunConfig cfg = bench::baseConfig(bench::Options{});
+    cfg.workload0 = "web_search";
+    cfg.workload1 = "mcf";
+    cfg.parallelism = 1;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::run(cfg));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CoreRunColdOpPoint)->Unit(benchmark::kMillisecond);
 
 void
 BM_QueueingRequest(benchmark::State &state)

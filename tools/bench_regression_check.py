@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Compare engine throughput against the committed baseline snapshot.
+"""Compare tracked bench throughput against the committed baseline snapshot.
 
 Reads two ``bench_to_json.py`` outputs and compares ``items_per_second``
-(simulated requests per second) for the end-to-end engine benches —
-names starting with ``BM_Engine``, ``BM_Dispatch``, or ``BM_Cluster`` —
-in the embedded
-``bench_perf_micro`` google-benchmark JSON. Exits 1 when any bench fell
+for the tracked benches in the embedded ``bench_perf_micro``
+google-benchmark JSON: the end-to-end engine benches — names starting
+with ``BM_Engine``, ``BM_Dispatch``, or ``BM_Cluster``, whose items are
+simulated requests — and the cycle-level core benches — names starting
+with ``BM_Core``, whose items are simulated cycles or cold operating
+points. Exits 1 when any bench fell
 below ``(1 - threshold)`` times its baseline, 0 otherwise. Benches at or
 above ``(1 + threshold)`` times baseline are flagged IMPROVED — the cue
 to refresh BENCH_baseline.json so the new level becomes the floor.
@@ -34,7 +36,7 @@ import json
 import sys
 from pathlib import Path
 
-TRACKED_PREFIXES = ("BM_Engine", "BM_Dispatch", "BM_Cluster")
+TRACKED_PREFIXES = ("BM_Engine", "BM_Dispatch", "BM_Cluster", "BM_Core")
 
 
 def engine_throughputs(path: Path):
@@ -56,7 +58,8 @@ def engine_throughputs(path: Path):
         if name.startswith(TRACKED_PREFIXES) and "items_per_second" in b:
             rates[name] = float(b["items_per_second"])
     if not rates:
-        return None, f"{path}: no BM_Engine*/BM_Dispatch*/BM_Cluster* entries"
+        tracked = "/".join(p + "*" for p in TRACKED_PREFIXES)
+        return None, f"{path}: no {tracked} entries"
     return rates, None
 
 

@@ -126,6 +126,32 @@ class ThroughputExtraction(unittest.TestCase):
             self.assertEqual(set(rates), {"BM_EngineOneClassPoisson",
                                           "BM_DispatchEightCoreFleet"})
 
+    def test_core_benches_are_tracked(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "r.json"
+            path.write_text(json.dumps(self._doc([
+                {"name": "BM_CoreCycleColocated",
+                 "items_per_second": 2e6},
+                {"name": "BM_CoreRunColdOpPoint",
+                 "items_per_second": 12.0},
+                {"name": "BM_CacheAccess",
+                 "items_per_second": 3e7},
+            ])))
+            rates, note = engine_throughputs(path)
+            self.assertIsNone(note)
+            self.assertEqual(rates, {"BM_CoreCycleColocated": 2e6,
+                                     "BM_CoreRunColdOpPoint": 12.0})
+
+    def test_no_tracked_entries_is_a_note(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "r.json"
+            path.write_text(json.dumps(self._doc([
+                {"name": "BM_CacheAccess", "items_per_second": 3e7},
+            ])))
+            rates, note = engine_throughputs(path)
+            self.assertIsNone(rates)
+            self.assertIn("BM_Core*", note)
+
     def test_skipped_run_is_a_note(self):
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "r.json"
