@@ -576,14 +576,22 @@ SmtCore::skipIdle(Cycle limit)
                 return;
         }
         // Fetch: the thread is stalled. A fetch block also ends the
-        // stall attribution, so it bounds the skip.
+        // stall attribution, so it bounds the skip. A throttled thread
+        // that could fetch waits for its next fetch slot.
         if (!ts.waitingBranch && curCycle < ts.fetchBlockedUntil) {
             wake = std::min(wake, ts.fetchBlockedUntil);
         } else if (!ts.waitingBranch && (ts.gen || ts.pending) &&
                    ts.fetchCount < params.fetchBufferEntries) {
-            return;
+            if (params.fetchPolicy != FetchPolicy::Throttle ||
+                t != params.throttledThread)
+                return;
+            Cycle window = params.throttleRatio + 1;
+            wake = std::min(wake, curCycle + (window - curCycle % window) %
+                                                 window);
         }
     }
+    if (wake <= curCycle)
+        return;
     // The next completion bounds the skip; every booked completion lies
     // within the event ring's horizon.
     Cycle horizon = std::min(wake, curCycle + evRingSize);

@@ -17,6 +17,20 @@
  * then charging the flush penalty — the standard trace-driven treatment.
  * Everything the paper studies (window occupancy, partitioning, fetch
  * policy, cache/BP contention) is modeled cycle by cycle.
+ *
+ * Issue is oldest first across both threads, within the issue width and
+ * the functional-unit pools. Each thread keeps a ready set, one bit per
+ * ROB slot. A thread's ROB ring holds its ops in age order from the
+ * head, so issue walks each set from its head and merges the two walks
+ * on the global sequence number. A load or store that gets MshrFull
+ * stays ready and retries every cycle; while the hierarchy's MSHR epoch
+ * is unchanged it retries through MemoryHierarchy::repeatMshrFull.
+ *
+ * run() and the runUntil*() loops jump over idle cycles: cycles in which
+ * no fill or completion is due, no head entry has completed, every ready
+ * op repeats MshrFull, dispatch is blocked and fetch is stalled. They
+ * apply those cycles' counters in one step, so every statistic equals
+ * stepping cycle() one cycle at a time.
  */
 
 #ifndef STRETCH_CORE_SMT_CORE_H
