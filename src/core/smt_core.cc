@@ -586,8 +586,8 @@ SmtCore::skipIdle(Cycle limit)
                 t != params.throttledThread)
                 return;
             Cycle window = params.throttleRatio + 1;
-            wake = std::min(wake, curCycle + (window - curCycle % window) %
-                                                 window);
+            Cycle slot = curCycle + (window - curCycle % window) % window;
+            wake = std::min(wake, slot);
         }
     }
     if (wake <= curCycle)

@@ -181,7 +181,14 @@ class SmtCore
 
   private:
     /** In-flight instruction state; Free marks an empty ROB slot. */
-    enum class EntryState : std::uint8_t { Free, Waiting, Ready, Issued, Done };
+    enum class EntryState : std::uint8_t
+    {
+        Free,
+        Waiting,
+        Ready,
+        Issued,
+        Done,
+    };
 
     /** End of an intrusive list. */
     static constexpr std::uint32_t noLink = ~std::uint32_t(0);

@@ -278,10 +278,10 @@ TEST(Hierarchy, Reset)
 /** A load or store retried every cycle until the hierarchy takes it. */
 struct PendingAccess
 {
-    ThreadId tid;
-    Addr pc;
-    Addr addr;
-    bool store;
+    ThreadId tid = 0;
+    Addr pc = 0;
+    Addr addr = 0;
+    bool store = false;
     std::uint64_t fullEpoch = 0; ///< mshrEpoch at its last MshrFull
 };
 
@@ -324,8 +324,8 @@ compareRepeatWithFullPath(const HierarchyConfig &cfg, std::uint64_t seed)
         }
         // Start at a random point, so new accesses also claim banks
         // ahead of the repeats.
-        std::rotate(queue.begin(),
-                    queue.begin() + rng.below(queue.size()), queue.end());
+        std::rotate(queue.begin(), queue.begin() + rng.below(queue.size()),
+                    queue.end());
         std::vector<PendingAccess> keep;
         for (PendingAccess &a : queue) {
             DataAccessResult want =
