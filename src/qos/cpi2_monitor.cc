@@ -1,5 +1,6 @@
 #include "qos/cpi2_monitor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "stats/summary.h"
@@ -17,14 +18,58 @@ constexpr double qmodeFraction = 0.95;
 /** Violating windows tolerated before throttling the co-runner. */
 constexpr unsigned violationsBeforeThrottle = 2;
 
-/** CPI history length for antagonist detection. */
+/** CPI history length for antagonist detection: the newest sample and
+ *  the window of samples before it that judges it. */
 constexpr std::size_t cpiHistory = 64;
+constexpr std::size_t cpiWindow = cpiHistory - 1;
+
+/** Samples in the history before the newest one is judged at all. */
+constexpr std::size_t cpiMinSamples = 8;
+
+/** Samples recorded between two batched outlier counts. */
+constexpr std::size_t cpiBatch = 256;
+
+/** Windows one batched pass judges side by side. */
+constexpr std::size_t cpiLanes = 16;
+
+/**
+ * Outliers among x[len, len + Lanes): lane j judges x[len + j] against
+ * the window x[j, j + len) with exactly stats::RunningStat's operations,
+ * in its order, so each verdict equals `newest > rs.mean() + 2.0 *
+ * rs.stddev()` over that window. The lanes share no state, so their
+ * divisions overlap instead of waiting on one chain.
+ */
+template <std::size_t Lanes>
+unsigned
+judgeWindows(const double *x, std::size_t len)
+{
+    double mean[Lanes] = {};
+    double m2[Lanes] = {};
+    for (std::size_t i = 0; i < len; ++i) {
+        const double n = static_cast<double>(i + 1);
+        const double *row = x + i;
+        for (std::size_t j = 0; j < Lanes; ++j) {
+            const double delta = row[j] - mean[j];
+            mean[j] += delta / n;
+            m2[j] += delta * (row[j] - mean[j]);
+        }
+    }
+    unsigned outliers = 0;
+    for (std::size_t j = 0; j < Lanes; ++j) {
+        const double sd = std::sqrt(m2[j] / static_cast<double>(len - 1));
+        if (x[len + j] > mean[j] + 2.0 * sd)
+            ++outliers;
+    }
+    return outliers;
+}
 
 } // namespace
 
 Cpi2Monitor::Cpi2Monitor(const MonitorConfig &cfg) : cfg(cfg)
 {
     STRETCH_ASSERT(cfg.qosTarget > 0.0, "QoS target must be positive");
+    STRETCH_ASSERT(cfg.tailPercentile > 0.0 && cfg.tailPercentile <= 100.0,
+                   "tail percentile must be in (0, 100]");
     STRETCH_ASSERT(cfg.engageFraction < cfg.disengageFraction,
                    "engage threshold must sit below disengage threshold");
 }
@@ -116,21 +161,52 @@ Cpi2Monitor::evaluateTail(double tail)
 void
 Cpi2Monitor::recordCpi(double cpi)
 {
-    cpiSamples.push_back(cpi);
-    if (cpiSamples.size() > cpiHistory)
-        cpiSamples.erase(cpiSamples.begin());
+    cpiLog.push_back(cpi);
+    if (cpiLog.size() - cpiJudged < cpiBatch)
+        return;
+    cpiOutliers += judgeCpi(cpiJudged);
+    // Later samples' windows and cpiOutlier() read only the newest
+    // cpiHistory samples.
+    const std::size_t drop = cpiLog.size() - cpiHistory;
+    cpiLog.erase(cpiLog.begin(), cpiLog.begin() + drop);
+    cpiLogStart += drop;
+    cpiJudged = cpiHistory;
 }
 
 bool
 Cpi2Monitor::cpiOutlier() const
 {
-    if (cpiSamples.size() < 8)
-        return false;
-    stats::RunningStat rs;
-    for (std::size_t i = 0; i + 1 < cpiSamples.size(); ++i)
-        rs.add(cpiSamples[i]);
-    double newest = cpiSamples.back();
-    return newest > rs.mean() + 2.0 * rs.stddev();
+    return !cpiLog.empty() && judgeCpi(cpiLog.size() - 1) > 0;
+}
+
+std::uint64_t
+Cpi2Monitor::cpiOutlierCount() const
+{
+    return cpiOutliers + judgeCpi(cpiJudged);
+}
+
+std::uint64_t
+Cpi2Monitor::judgeCpi(std::size_t from) const
+{
+    const double *x = cpiLog.data();
+    std::uint64_t outliers = 0;
+    for (std::size_t i = from; i < cpiLog.size();) {
+        // Samples recorded before this one; a monitor's first samples
+        // have partial windows.
+        const std::uint64_t seen = cpiLogStart + i;
+        const std::size_t len = static_cast<std::size_t>(
+            std::min<std::uint64_t>(seen, cpiWindow));
+        if (seen + 1 < cpiMinSamples) {
+            ++i;
+        } else if (len == cpiWindow && i + cpiLanes <= cpiLog.size()) {
+            outliers += judgeWindows<cpiLanes>(x + i - len, len);
+            i += cpiLanes;
+        } else {
+            outliers += judgeWindows<1>(x + i - len, len);
+            ++i;
+        }
+    }
+    return outliers;
 }
 
 } // namespace stretch

@@ -20,6 +20,11 @@
  * CPI-style slowdown proxy), a violating window whose newest CPI sample
  * is an outlier escalates straight to throttling — the antagonist has
  * been identified, so the ladder skips the remaining tolerance windows.
+ * Outlier samples are counted in exact batches: every few hundred
+ * samples, and whenever the count is read, one pass judges several
+ * pending samples side by side. Each lane of the pass runs the serial
+ * mean-and-deviation arithmetic over its own window, so the count equals
+ * a per-sample check bit for bit at a fraction of its cost.
  *
  * Units and determinism: latencies, the QoS target, and reported tails
  * are all in the caller's latency unit (the fleet dispatcher feeds
@@ -113,8 +118,11 @@ class Cpi2Monitor
      * throttle immediately instead of waiting out the tolerance count.
      */
     void recordCpi(double cpi);
-    /** True if the newest CPI sample is an outlier (mean + 2 sigma). */
+    /** True if the newest CPI sample is an outlier: above mean + 2 sigma
+     *  of the up to 63 samples before it, from the 8th sample on. */
     bool cpiOutlier() const;
+    /** Recorded CPI samples that were outliers when they were newest. */
+    std::uint64_t cpiOutlierCount() const;
     /// @}
 
     /** Number of windows whose tail violated the QoS target. */
@@ -135,7 +143,17 @@ class Cpi2Monitor
     std::uint64_t violations = 0;
     std::uint64_t throttleEngages = 0;
     std::uint64_t windowsEval = 0;
-    std::vector<double> cpiSamples;
+
+    /** Outliers among cpiLog[from, end). */
+    std::uint64_t judgeCpi(std::size_t from) const;
+
+    /** The newest 64 CPI samples plus every sample not yet judged. */
+    std::vector<double> cpiLog;
+    /** Stream position of cpiLog's first sample. */
+    std::uint64_t cpiLogStart = 0;
+    /** Leading cpiLog samples already judged into cpiOutliers. */
+    std::size_t cpiJudged = 0;
+    std::uint64_t cpiOutliers = 0;
 };
 
 } // namespace stretch

@@ -616,11 +616,8 @@ dispatchRequests(const DispatchConfig &cfg)
             // Queueing caused by an antagonised (or overloaded) core
             // inflates it exactly the way contention inflates CPI.
             double service = c.finishMs - c.startMs;
-            if (service > 0.0) {
+            if (service > 0.0)
                 mon.recordCpi(c.latencyMs() / service);
-                if (mon.cpiOutlier())
-                    ++out.modeStats[c.server].cpiOutliers;
-            }
         }
     };
     // Quantum-boundary mode control. The hook is always part of the
@@ -870,6 +867,14 @@ dispatchRequests(const DispatchConfig &cfg)
     for (std::size_t c = 0; c < n; ++c) {
         out.placed[c] = engine.servers()[c].placed;
         out.busyMs[c] = engine.servers()[c].busyMs;
+        // The monitors count their CPI outliers in batches; a failed
+        // core's monitors still hold the samples it took before failing.
+        if (controls[c]) {
+            CoreModeStats &ms = out.modeStats[c];
+            ms.cpiOutliers += controls[c]->monitor.cpiOutlierCount();
+            for (const Cpi2Monitor &m : controls[c]->classMonitors)
+                ms.cpiOutliers += m.cpiOutlierCount();
+        }
     }
 
     if (timelineOn) {

@@ -4,9 +4,13 @@
  * decision ladder.
  */
 
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "qos/cpi2_monitor.h"
+#include "stats/summary.h"
+#include "util/rng.h"
 
 namespace stretch
 {
@@ -26,6 +30,50 @@ feedWindow(Cpi2Monitor &mon, double latency)
 {
     for (int i = 0; i < 8; ++i)
         mon.recordLatency(latency);
+}
+
+/**
+ * A seeded CPI stream in blocks of 64 samples. A quarter of the blocks
+ * are lognormal noise, a quarter milder noise with rare spikes, and half
+ * are 63 samples of exactly 1.0 (a window with sigma = 0) followed by a
+ * probe at 1.0, just above it, a little above it or far above it.
+ */
+std::vector<double>
+cpiStream(std::size_t blocks)
+{
+    Rng rng(0xc512);
+    std::vector<double> cpi;
+    for (std::size_t b = 0; b < blocks; ++b) {
+        switch (rng.below(4)) {
+        case 0:
+            for (int i = 0; i < 64; ++i)
+                cpi.push_back(rng.lognormal(0.0, 0.5));
+            break;
+        case 1:
+            for (int i = 0; i < 64; ++i) {
+                const double x = rng.lognormal(0.0, 0.3);
+                cpi.push_back(rng.chance(0.02) ? 10.0 * x : x);
+            }
+            break;
+        default: {
+            cpi.insert(cpi.end(), 63, 1.0);
+            const double probes[] = {1.0, 1.0 + 1e-12, 1.2, 4.0};
+            cpi.push_back(probes[rng.below(4)]);
+            break;
+        }
+        }
+    }
+    return cpi;
+}
+
+/** Running stats of the up to 63 samples before cpi[k]. */
+stats::RunningStat
+windowBefore(const std::vector<double> &cpi, std::size_t k)
+{
+    stats::RunningStat rs;
+    for (std::size_t i = k > 63 ? k - 63 : 0; i < k; ++i)
+        rs.add(cpi[i]);
+    return rs;
 }
 
 TEST(Monitor, EngagesBModeOnSlack)
@@ -149,6 +197,43 @@ TEST(Monitor, CpiOutlierDetection)
     EXPECT_TRUE(mon.cpiOutlier());
 }
 
+TEST(Monitor, BatchedOutlierCountMatchesPerSample)
+{
+    const std::vector<double> cpi = cpiStream(94);
+    ASSERT_GE(cpi.size(), 6000u);
+    // Around the first partial windows, the first full one and the
+    // first batch boundaries.
+    const std::vector<std::size_t> reads = {1,   7,   8,   63,  64,  65,
+                                            255, 256, 257, 1000};
+    Cpi2Monitor mon(monitorConfig());
+    std::uint64_t expected = 0;
+    std::uint64_t flatWindows = 0;
+    std::size_t nextRead = 0;
+    for (std::size_t k = 0; k < cpi.size(); ++k) {
+        mon.recordCpi(cpi[k]);
+        // The per-sample rule: cpi[k] against mean + 2 sigma of the up
+        // to 63 samples before it, from the 8th sample on.
+        const stats::RunningStat rs = windowBefore(cpi, k);
+        const bool outlier =
+            k >= 7 && cpi[k] > rs.mean() + 2.0 * rs.stddev();
+        if (outlier)
+            ++expected;
+        if (k >= 7 && rs.stddev() == 0.0)
+            ++flatWindows;
+        ASSERT_EQ(mon.cpiOutlier(), outlier) << "sample " << k;
+        if (nextRead < reads.size() && k + 1 == reads[nextRead]) {
+            EXPECT_EQ(mon.cpiOutlierCount(), expected)
+                << "after " << k + 1 << " samples";
+            ++nextRead;
+        }
+    }
+    EXPECT_EQ(mon.cpiOutlierCount(), expected);
+    // The stream reaches both verdicts, sigma = 0 windows included.
+    EXPECT_GT(expected, 100u);
+    EXPECT_LT(expected, cpi.size() / 4);
+    EXPECT_GT(flatWindows, 10u);
+}
+
 TEST(Monitor, EvaluateTailDirectFeed)
 {
     Cpi2Monitor mon(monitorConfig());
@@ -190,6 +275,17 @@ TEST(Monitor, ThrottleEngagementsCountDistinctEngages)
     for (int i = 0; i < 4; ++i)
         mon.evaluateTail(150.0);
     EXPECT_EQ(mon.throttleEngagements(), 2u);
+}
+
+TEST(MonitorDeathTest, TailPercentileOutsideRangePanics)
+{
+    MonitorConfig cfg = monitorConfig();
+    cfg.tailPercentile = 100.0;
+    Cpi2Monitor top(cfg); // the top of the range is valid
+    cfg.tailPercentile = 0.0;
+    EXPECT_DEATH({ Cpi2Monitor mon(cfg); }, "tail percentile must be in");
+    cfg.tailPercentile = 150.0;
+    EXPECT_DEATH({ Cpi2Monitor mon(cfg); }, "tail percentile must be in");
 }
 
 } // namespace
