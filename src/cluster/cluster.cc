@@ -1,7 +1,9 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -48,6 +50,9 @@ constexpr std::uint64_t kFlowKeyStream = 0xf10a;  ///< class flow-key salt
 
 /** Latency a failover pays re-steering queued work off a dead node. */
 constexpr double kFailoverDelayMs = 0.5;
+
+/** Requests the drawing side hands to the steering side at a time. */
+constexpr std::uint64_t kDrawBlock = 4096;
 
 /** FlowAffinity: hash-ring points per node (more points = smoother
  *  class spread). */
@@ -139,6 +144,15 @@ enqueue(NodeView &nv, double at_ms, double orig_ms, double demand,
     nv.pending.push_back(p);
 }
 
+/** One request as drawn, before steering: its raw gap, class tag and
+ *  demand. */
+struct Draw
+{
+    double gapMs = 0.0;
+    double demand = 0.0;
+    std::uint32_t classId = 0;
+};
+
 /** Everything phase 1 produces: per-node steered streams + counters. */
 struct SteeringOutput
 {
@@ -152,6 +166,12 @@ struct SteeringOutput
  * arrival stream, applies node actions at exact timestamps, steers each
  * request by the configured policy over stale backlog signals, and
  * fails over queued work off dead nodes.
+ *
+ * No draw depends on a steering decision: gaps, class tags and demands
+ * come from their own streams, and arrival scaling applies after the
+ * draw. So unless `cfg.threads == 1`, a second thread draws the whole
+ * stream ahead of the steering loop and hands it over in blocks; with
+ * one thread the draws all run first, on the caller.
  */
 SteeringOutput
 steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
@@ -456,31 +476,83 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         }
     };
 
-    double t = 0.0;
-    for (std::uint64_t i = 0; i < cfg.requests; ++i) {
-        // Next cluster arrival. The gap splits at action boundaries so
-        // an arrival-scale change applies at its exact timestamp (the
-        // pre-boundary part of the gap elapses at the old rate).
-        const queueing::EventEngine::Arrival next = traffic.nextArrival();
-        double gap = next.gapMs;
-        const std::uint32_t cls = next.classId;
-        while (nextAction < actions.size() &&
-               t + gap / arrivalFactor >= actions[nextAction].atMs) {
-            gap -= (actions[nextAction].atMs - t) * arrivalFactor;
-            t = actions[nextAction].atMs;
-            applyAction(actions[nextAction]);
-            ++nextAction;
+    // The drawn stream, published to the steering side in blocks.
+    std::vector<Draw> draws(cfg.requests);
+    std::mutex drawMutex;
+    std::condition_variable drawReady;
+    std::uint64_t drawn = 0; // guarded by drawMutex
+    bool drawFailed = false; // guarded by drawMutex
+
+    auto drawAll = [&] {
+        try {
+            for (std::uint64_t i = 0; i < cfg.requests;) {
+                const std::uint64_t end =
+                    std::min<std::uint64_t>(cfg.requests, i + kDrawBlock);
+                for (; i < end; ++i) {
+                    const queueing::EventEngine::Arrival next =
+                        traffic.nextArrival();
+                    draws[i] = {next.gapMs, traffic.nextDemand(next.classId),
+                                next.classId};
+                }
+                {
+                    std::lock_guard<std::mutex> lock(drawMutex);
+                    drawn = end;
+                }
+                drawReady.notify_one();
+            }
+        } catch (...) {
+            // Wake the steering side, or the join would wait forever.
+            {
+                std::lock_guard<std::mutex> lock(drawMutex);
+                drawFailed = true;
+            }
+            drawReady.notify_one();
+            throw;
         }
-        t += gap / arrivalFactor;
-        const double demand = traffic.nextDemand(cls);
+    };
 
-        refreshSignals(t);
+    auto steerAll = [&] {
+        double t = 0.0;
+        std::uint64_t ready = 0;
+        for (std::uint64_t i = 0; i < cfg.requests; ++i) {
+            if (i == ready) {
+                std::unique_lock<std::mutex> lock(drawMutex);
+                drawReady.wait(lock, [&] { return drawn > i || drawFailed; });
+                if (drawFailed)
+                    return; // parallelFor rethrows the draw's exception
+                ready = drawn;
+            }
+            const Draw &d = draws[i];
+            // Next cluster arrival. The gap splits at action boundaries so
+            // an arrival-scale change applies at its exact timestamp (the
+            // pre-boundary part of the gap elapses at the old rate).
+            double gap = d.gapMs;
+            while (nextAction < actions.size() &&
+                   t + gap / arrivalFactor >= actions[nextAction].atMs) {
+                gap -= (actions[nextAction].atMs - t) * arrivalFactor;
+                t = actions[nextAction].atMs;
+                applyAction(actions[nextAction]);
+                ++nextAction;
+            }
+            t += gap / arrivalFactor;
 
-        const std::size_t target = steer(t, cls);
-        enqueue(nodes[target], t, t, demand, cls);
-        flushStarted(nodes[target], t);
-        ++so.stats.decisions;
-    }
+            refreshSignals(t);
+
+            const std::size_t target = steer(t, d.classId);
+            enqueue(nodes[target], t, t, d.demand, d.classId);
+            flushStarted(nodes[target], t);
+            ++so.stats.decisions;
+        }
+    };
+
+    // Index 0 never waits, so one thread running both indices in order
+    // cannot deadlock.
+    parallelFor(cfg.threads == 1 ? 1 : 2, 2, [&](std::size_t k) {
+        if (k == 0)
+            drawAll();
+        else
+            steerAll();
+    });
 
     // Stream over: everything still queued starts eventually, so the
     // remaining pending entries settle where they sit.
@@ -494,12 +566,15 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             nv.pending.pop_front();
         }
         // Failover inserts future-timestamped records behind direct
-        // arrivals; the dispatcher requires time order.
-        std::stable_sort(nv.out.begin(), nv.out.end(),
-                         [](const sim::InjectedArrival &a,
-                            const sim::InjectedArrival &b) {
-                             return a.atMs < b.atMs;
-                         });
+        // arrivals; the dispatcher requires time order. Only a node that
+        // took failover records can be out of order, and a stable sort
+        // of a sorted stream is the identity.
+        auto byTime = [](const sim::InjectedArrival &a,
+                         const sim::InjectedArrival &b) {
+            return a.atMs < b.atMs;
+        };
+        if (!std::is_sorted(nv.out.begin(), nv.out.end(), byTime))
+            std::stable_sort(nv.out.begin(), nv.out.end(), byTime);
         so.stats.steered[j] = nv.out.size();
         so.injected[j] = std::move(nv.out);
     }
