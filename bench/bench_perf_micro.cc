@@ -9,9 +9,10 @@
  * simulated requests per wall-clock second (each iteration processes a
  * fixed request count). The `BM_Core*` benches track the cycle-level
  * core: simulated cycles per second, and cold operating points per
- * second. Snapshots are committed as `BENCH_baseline.json` via
- * `tools/bench_to_json.py` and guarded by
- * `tools/bench_regression_check.py` in the CI bench job.
+ * second. The `BM_Queueing*` benches track the single-service request
+ * simulator, with and without the duty-cycle modulator. Snapshots are
+ * committed as `BENCH_baseline.json` via `tools/bench_to_json.py` and
+ * guarded by `tools/bench_regression_check.py` in the CI bench job.
  */
 
 #include <benchmark/benchmark.h>
@@ -32,6 +33,7 @@
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
+#include "workload/service_class.h"
 
 using namespace stretch;
 
@@ -301,6 +303,30 @@ BM_DispatchEightCoreFleet(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * cfg.requests);
 }
 BENCHMARK(BM_DispatchEightCoreFleet);
+
+/** The same fleet under Stretch's dynamic control: two service classes,
+ *  every completion feeding its class's CPI²-style monitor on its core,
+ *  and the mode ladder run every 0.5 ms. This is the dispatch a rack
+ *  node runs; Static control, as above, builds no monitor. */
+void
+BM_DispatchSlackDrivenClasses(benchmark::State &state)
+{
+    sim::DispatchConfig cfg;
+    cfg.rates.assign(8, sim::ModeRates{0.55, 0.5, 0.6, 0.65});
+    cfg.requests = engineRequests / 4;
+    cfg.policy = sim::PlacementPolicy::LeastLoaded;
+    cfg.classes =
+        workloads::ServiceClassRegistry::searchAnalyticsPair(8.0, 80.0);
+    cfg.control.kind = sim::ModePolicyKind::SlackDriven;
+    cfg.control.quantumMs = 0.5;
+    cfg.seed = 42;
+    for (auto _ : state) {
+        sim::DispatchOutcome out = sim::dispatchRequests(cfg);
+        benchmark::DoNotOptimize(out.elapsedMs);
+    }
+    state.SetItemsProcessed(state.iterations() * cfg.requests);
+}
+BENCHMARK(BM_DispatchSlackDrivenClasses);
 
 /** Whole-rack run end-to-end: JSQ(2) ingress steering over four 2-core
  *  nodes plus the per-node engines — the cost the cluster layer adds

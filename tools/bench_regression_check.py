@@ -5,9 +5,11 @@ Reads two ``bench_to_json.py`` outputs and compares ``items_per_second``
 for the tracked benches in the embedded ``bench_perf_micro``
 google-benchmark JSON: the end-to-end engine benches — names starting
 with ``BM_Engine``, ``BM_Dispatch``, or ``BM_Cluster``, whose items are
-simulated requests — and the cycle-level core benches — names starting
+simulated requests — the cycle-level core benches — names starting
 with ``BM_Core``, whose items are simulated cycles or cold operating
-points. Exits 1 when any bench fell
+points — and the single-service request simulator's benches — names
+starting with ``BM_Queueing``, whose items are simulated requests, with
+and without the duty-cycle modulator. Exits 1 when any bench fell
 below ``(1 - threshold)`` times its baseline, 0 otherwise. Benches at or
 above ``(1 + threshold)`` times baseline are flagged IMPROVED — the cue
 to refresh BENCH_baseline.json so the new level becomes the floor.
@@ -36,7 +38,8 @@ import json
 import sys
 from pathlib import Path
 
-TRACKED_PREFIXES = ("BM_Engine", "BM_Dispatch", "BM_Cluster", "BM_Core")
+TRACKED_PREFIXES = ("BM_Engine", "BM_Dispatch", "BM_Cluster", "BM_Core",
+                    "BM_Queueing")
 
 
 def engine_throughputs(path: Path):

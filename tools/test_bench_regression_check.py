@@ -142,6 +142,23 @@ class ThroughputExtraction(unittest.TestCase):
             self.assertEqual(rates, {"BM_CoreCycleColocated": 2e6,
                                      "BM_CoreRunColdOpPoint": 12.0})
 
+    def test_queueing_benches_are_tracked(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "r.json"
+            path.write_text(json.dumps(self._doc([
+                {"name": "BM_QueueingRequest",
+                 "items_per_second": 4e6},
+                {"name": "BM_QueueingServiceDuty/duty_0_02",
+                 "items_per_second": 2e5},
+                {"name": "BM_GeneratorNext",
+                 "items_per_second": 8e7},
+            ])))
+            rates, note = engine_throughputs(path)
+            self.assertIsNone(note)
+            self.assertEqual(rates, {
+                "BM_QueueingRequest": 4e6,
+                "BM_QueueingServiceDuty/duty_0_02": 2e5})
+
     def test_no_tracked_entries_is_a_note(self):
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "r.json"
