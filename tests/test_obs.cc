@@ -7,13 +7,18 @@
  * own tallies on both synthetic runs and a catalog drill.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -456,6 +461,147 @@ TEST(TracedDispatch, CountersTraceAndOutcomeTalliesAgree)
     EXPECT_EQ(reg.gaugeValue("dispatch.elapsed_ms"), out.elapsedMs);
 }
 
+// ---- Reading artifacts back -------------------------------------------
+
+/** A parsed JSON value: just enough of a reader to check the artifacts
+ *  this suite writes. Malformed input throws, failing the test. */
+struct Json
+{
+    enum class Type
+    {
+        Null,
+        Bool,
+        Number,
+        String,
+        Array,
+        Object,
+    };
+    Type type = Type::Null;
+    bool flag = false;
+    double number = 0.0;
+    std::string text;
+    std::vector<Json> items;
+    std::vector<std::pair<std::string, Json>> fields;
+
+    /** The value under @p key, or null when the object has none. */
+    const Json *
+    find(const std::string &key) const
+    {
+        for (const auto &f : fields)
+            if (f.first == key)
+                return &f.second;
+        return nullptr;
+    }
+
+    const Json &
+    operator[](const std::string &key) const
+    {
+        const Json *v = find(key);
+        if (v == nullptr)
+            throw std::runtime_error("no key '" + key + "'");
+        return *v;
+    }
+};
+
+void
+skipSpace(const char *&p)
+{
+    while (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t')
+        ++p;
+}
+
+std::string
+parseString(const char *&p)
+{
+    if (*p++ != '"')
+        throw std::runtime_error("expected a string");
+    std::string out;
+    for (; *p != '"'; ++p) {
+        // An escape keeps its letter undecoded: no test compares text
+        // that the writer escapes.
+        if (*p == '\\')
+            ++p;
+        if (*p == '\0')
+            throw std::runtime_error("unterminated string");
+        out += *p;
+    }
+    ++p;
+    return out;
+}
+
+Json
+parseValue(const char *&p)
+{
+    skipSpace(p);
+    Json v;
+    auto word = [&](const char *w) {
+        const std::size_t n = std::strlen(w);
+        if (std::strncmp(p, w, n) != 0)
+            return false;
+        p += n;
+        return true;
+    };
+    if (*p == '{' || *p == '[') {
+        const bool object = *p == '{';
+        const char close = object ? '}' : ']';
+        v.type = object ? Json::Type::Object : Json::Type::Array;
+        ++p;
+        for (skipSpace(p); *p != close; skipSpace(p)) {
+            if (object) {
+                std::string key = parseString(p);
+                skipSpace(p);
+                if (*p++ != ':')
+                    throw std::runtime_error("expected ':'");
+                v.fields.emplace_back(std::move(key), parseValue(p));
+            } else {
+                v.items.push_back(parseValue(p));
+            }
+            skipSpace(p);
+            if (*p == ',')
+                ++p;
+            else if (*p != close)
+                throw std::runtime_error("expected ',' or a close");
+        }
+        ++p;
+    } else if (*p == '"') {
+        v.type = Json::Type::String;
+        v.text = parseString(p);
+    } else if (word("true")) {
+        v.type = Json::Type::Bool;
+        v.flag = true;
+    } else if (word("false")) {
+        v.type = Json::Type::Bool;
+    } else if (word("null")) {
+        v.type = Json::Type::Null;
+    } else {
+        char *end = nullptr;
+        v.number = std::strtod(p, &end);
+        if (end == p)
+            throw std::runtime_error("unexpected character in JSON");
+        v.type = Json::Type::Number;
+        p = end;
+    }
+    return v;
+}
+
+/** Parse the JSON document in @p path. */
+Json
+readJson(const std::string &path)
+{
+    std::ifstream f(path);
+    if (!f.good())
+        throw std::runtime_error("cannot open " + path);
+    std::stringstream body;
+    body << f.rdbuf();
+    const std::string doc = body.str();
+    const char *p = doc.c_str();
+    Json v = parseValue(p);
+    skipSpace(p);
+    if (*p != '\0')
+        throw std::runtime_error("trailing text after the JSON document");
+    return v;
+}
+
 // ---- Drill instrumentation --------------------------------------------
 
 TEST(InstrumentedDrill, GuardrailDrillCrossChecksAndWritesArtifacts)
@@ -504,6 +650,106 @@ TEST(InstrumentedDrill, GuardrailDrillCrossChecksAndWritesArtifacts)
     EXPECT_NE(tbody.str().find("\"traceEvents\""), std::string::npos);
 }
 
+/** One assertion entry a drill report must carry: its kind, its
+ *  verdict, and the trace window a failed one attaches. */
+struct WindowPin
+{
+    const char *kind;
+    bool pass;
+    double fromMs = 0.0;
+    double untilMs = 0.0;
+};
+
+/**
+ * Run drill @p name blinded by @p blind, with both artifact paths set,
+ * and check every assertion entry of its report against @p pins. A
+ * fleet report cuts the trace events inside each window (@p events); a
+ * rack report attaches none.
+ */
+void
+expectViolationWindows(const char *name,
+                       const std::function<void(scenario::Scenario &)> &blind,
+                       const std::vector<WindowPin> &pins, bool events)
+{
+    namespace fs = std::filesystem;
+    std::string file = name;
+    std::replace(file.begin(), file.end(), '/', '-');
+    const fs::path dir = fs::path(::testing::TempDir());
+    const std::string report = (dir / (file + ".report.json")).string();
+    scenario::DrillOutcome o = scenario::runDrill(
+        scenario::drill(name), [&](scenario::Scenario &s) {
+            blind(s);
+            s.tracePath = (dir / (file + ".trace.json")).string();
+            s.reportPath = report;
+        });
+
+    const Json doc = readJson(report);
+    const double elapsed = doc["outcome"]["elapsedMs"].number;
+    EXPECT_EQ(elapsed, o.result.dispatch.elapsedMs);
+    const std::vector<Json> &entries = doc["assertions"].items;
+    ASSERT_EQ(entries.size(), pins.size());
+    ASSERT_EQ(o.assertions.size(), pins.size());
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+        const Json &a = entries[i];
+        const WindowPin &pin = pins[i];
+        SCOPED_TRACE(std::string(name) + ": " + a["detail"].text);
+        EXPECT_EQ(a["kind"].text, pin.kind);
+        ASSERT_EQ(a["pass"].flag, pin.pass);
+        EXPECT_EQ(o.assertions[i].pass, pin.pass);
+        const Json &w = a["traceWindow"];
+        if (pin.pass) {
+            EXPECT_EQ(w.type, Json::Type::Null);
+            continue;
+        }
+        ASSERT_EQ(w.type, Json::Type::Object);
+        const double from = w["fromMs"].number;
+        const double until = w["untilMs"].number;
+        EXPECT_EQ(from, pin.fromMs);
+        EXPECT_EQ(until, pin.untilMs);
+        EXPECT_LE(0.0, from);
+        EXPECT_LE(from, until);
+        EXPECT_LE(until, elapsed);
+        if (std::string(pin.kind) == "attainment-at-least") {
+            EXPECT_EQ(from, 0.0);
+            EXPECT_EQ(until, elapsed);
+        }
+        const Json *cut = w.find("events");
+        if (events) {
+            ASSERT_NE(cut, nullptr);
+            EXPECT_FALSE(cut->items.empty());
+        } else {
+            EXPECT_EQ(cut, nullptr);
+        }
+    }
+}
+
+TEST(InstrumentedDrill, FailedAssertionsAttachTheirViolationWindows)
+{
+    // Two blinded drills that fail all four assertion kinds between
+    // them (the rack drill still meets its attainment floor). The
+    // literals pin every window exactly.
+    expectViolationWindows(
+        "guardrail/flash-crowd",
+        [](scenario::Scenario &s) {
+            s.placement = sim::PlacementPolicy::RoundRobin;
+            s.control.honorThrottle = false;
+        },
+        {{"class-tail-at-most", false, 1074.2187113792063,
+          2301.897238669728},
+         {"attainment-at-least", false, 0.0, 3492.0087597102947}},
+        true);
+    expectViolationWindows(
+        "rack/node-degradation",
+        [](scenario::Scenario &s) {
+            s.ingress.policy = cluster::IngressPolicy::RoundRobin;
+        },
+        {{"fleet-tail-at-most", false, 1409.448370546676,
+          2114.1725558200133},
+         {"recovery-within", false, 2029.605653587213, 2677.9519040386836},
+         {"attainment-at-least", true}},
+        false);
+}
+
 // ---- Scenario-level reporting -----------------------------------------
 
 scenario::Scenario
@@ -549,6 +795,64 @@ TEST(ScenarioReporting, RunWritesArtifactsWithoutChangingResults)
     EXPECT_NE(body.str().find("\"label\":\"obs-small\""), std::string::npos);
     EXPECT_NE(body.str().find("\"metrics\":{"), std::string::npos);
     EXPECT_NE(body.str().find("\"hash\":\""), std::string::npos);
+}
+
+TEST(ScenarioReporting, RackRunWritesArtifactsWithoutChangingResults)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir());
+    scenario::Scenario rack = smallScenario();
+    rack.nodes = 4;
+    const cluster::ClusterResult bare = scenario::runRack(rack);
+    const sim::DispatchOutcome &want = bare.merged.dispatch;
+
+    // Once through runRack, once through run's rack route.
+    for (const char *via : {"runRack", "run"}) {
+        SCOPED_TRACE(via);
+        scenario::Scenario s = rack;
+        s.tracePath = (dir / (std::string(via) + ".rack.trace.json")).string();
+        s.reportPath =
+            (dir / (std::string(via) + ".rack.report.json")).string();
+        sim::FleetResult merged;
+        if (std::string(via) == "run") {
+            merged = scenario::run(s);
+        } else {
+            cluster::ClusterResult r = scenario::runRack(s);
+            ASSERT_EQ(r.nodes.size(), bare.nodes.size());
+            for (std::size_t j = 0; j < r.nodes.size(); ++j)
+                EXPECT_EQ(r.nodes[j].dispatch.placed,
+                          bare.nodes[j].dispatch.placed);
+            EXPECT_EQ(r.ingress.decisions, bare.ingress.decisions);
+            EXPECT_EQ(r.ingress.failovers, bare.ingress.failovers);
+            EXPECT_EQ(r.ingress.spillovers, bare.ingress.spillovers);
+            EXPECT_EQ(r.ingress.signalRefreshes,
+                      bare.ingress.signalRefreshes);
+            EXPECT_EQ(r.ingress.steered, bare.ingress.steered);
+            EXPECT_EQ(r.ingress.capacityPerMs, bare.ingress.capacityPerMs);
+            EXPECT_EQ(r.ingress.signalStalenessMs.count(),
+                      bare.ingress.signalStalenessMs.count());
+            merged = std::move(r.merged);
+        }
+        EXPECT_EQ(merged.dispatch.latencyMs.p99, want.latencyMs.p99);
+        EXPECT_EQ(merged.dispatch.placed, want.placed);
+        expectIdentical(want, merged.dispatch);
+
+        // One process group per node, named after it.
+        const Json trace = readJson(s.tracePath);
+        EXPECT_EQ(trace["otherData"]["nodes"].number, 4.0);
+        std::vector<std::pair<double, std::string>> groups;
+        for (const Json &e : trace["traceEvents"].items)
+            if (e["name"].text == "process_name")
+                groups.emplace_back(e["pid"].number, e["args"]["name"].text);
+        const std::vector<std::pair<double, std::string>> nodes = {
+            {1, "node 0"}, {2, "node 1"}, {3, "node 2"}, {4, "node 3"}};
+        EXPECT_EQ(groups, nodes);
+
+        const Json report = readJson(s.reportPath);
+        EXPECT_EQ(report["scenario"]["label"].text, "obs-small");
+        EXPECT_EQ(report["metrics"]["counters"]["ingress.decisions"].number,
+                  static_cast<double>(bare.ingress.decisions));
+    }
 }
 
 TEST(ScenarioReporting, RunInstrumentedReturnsLiveObjectsAndWritesNothing)

@@ -207,6 +207,58 @@ TEST(ScenarioLowering, MatchesHandBuiltFleetConfigBitIdentically)
               via_hand.dispatch.throughputRps);
 }
 
+TEST(ScenarioLowering, ForwardsTheWholeTrafficSpec)
+{
+    // Every stream field off its default and nothing to calibrate: the
+    // lowered configs must carry each field unchanged.
+    const queueing::DiurnalTrace trace =
+        queueing::DiurnalTrace::webSearchCluster();
+    const workloads::ServiceClassRegistry classes =
+        workloads::ServiceClassRegistry::searchAnalyticsPair(6.0, 75.0);
+    auto stream = [&] {
+        return ScenarioBuilder()
+            .cores(2, smallConfig())
+            .requests(1234)
+            .arrivalRate(2.5)
+            .burstiness(3.0, 150.0, 30.0)
+            .serviceClasses(classes)
+            .perClassArrivals()
+            .timeline(7.0)
+            .seed(99);
+    };
+    auto expectStream = [&](const sim::TrafficSpec &t) {
+        EXPECT_EQ(t.requests, 1234u);
+        EXPECT_EQ(t.arrivalRatePerMs, 2.5);
+        EXPECT_EQ(t.seed, 99u);
+        EXPECT_EQ(t.burstRatio, 3.0);
+        EXPECT_EQ(t.dwellLowMs, 150.0);
+        EXPECT_EQ(t.dwellHighMs, 30.0);
+        ASSERT_EQ(t.classes.size(), classes.size());
+        for (std::size_t k = 0; k < classes.size(); ++k)
+            EXPECT_EQ(t.classes.all()[k].name, classes.all()[k].name);
+        EXPECT_TRUE(t.perClassArrivals);
+        EXPECT_EQ(t.timelineBucketMs, 7.0);
+    };
+
+    Scenario s = stream().diurnal(trace, 20.0).expect();
+    ASSERT_FALSE(s.needsCalibration());
+    const sim::FleetConfig fleet = lower(s);
+    expectStream(fleet);
+    ASSERT_TRUE(fleet.diurnalTrace.has_value());
+    EXPECT_EQ(fleet.diurnalTrace->hourly(), trace.hourly());
+    EXPECT_EQ(fleet.msPerHour, 20.0);
+
+    // An hourly timeline buckets by replayed hour.
+    s.hourlyTimeline = true;
+    EXPECT_EQ(lower(s).timelineBucketMs, 20.0);
+
+    // A rack keeps the request count and the explicit rate rack-wide.
+    const cluster::ClusterConfig rack = lowerRack(stream().nodes(4).expect());
+    expectStream(rack);
+    EXPECT_FALSE(rack.diurnalTrace.has_value());
+    ASSERT_EQ(rack.nodes.size(), 4u);
+}
+
 TEST(ScenarioLowering, TwoClassSharedStreamIsBitIdenticalToFleetWide)
 {
     // The tentpole acceptance: a two-class scenario whose classes do NOT
