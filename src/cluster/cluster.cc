@@ -754,6 +754,7 @@ homogeneousCluster(unsigned n, const sim::FleetConfig &node)
     STRETCH_ASSERT(n >= 1, "a cluster needs at least one node");
     ClusterConfig cfg;
     static_cast<sim::TrafficSpec &>(cfg) = node;
+    cfg.exactTailQuantiles = node.exactTailQuantiles;
     cfg.requests *= n;
     cfg.arrivalRatePerMs *= n; // 0 keeps the 70% default
     cfg.nodes.reserve(n);

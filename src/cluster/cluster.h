@@ -155,6 +155,10 @@ struct ClusterConfig : sim::TrafficSpec
      *  Results are bit-identical for any value. */
     unsigned threads = 0;
 
+    /** Exact latency quantiles on every node and in the merged view
+     *  (see `sim::DispatchSpec::exactTailQuantiles`). */
+    bool exactTailQuantiles = false;
+
     /// @name Observability taps (non-owning; both optional).
     /// `nodeTracers` is empty or index-matched to `nodes`; each node's
     /// engine records into its own tracer (given pid node+1, so

@@ -583,18 +583,14 @@ toString(QosAssertion::Kind kind)
     return "?";
 }
 
-std::optional<TraceWindow>
-violationWindow(const AssertionResult &v, const sim::FleetResult &result,
-                double timeline_bucket_ms)
+std::vector<AssertionResult>
+evaluate(const std::vector<QosAssertion> &assertions,
+         const sim::FleetResult &result, double timeline_bucket_ms)
 {
     using Kind = QosAssertion::Kind;
-    if (v.pass)
-        return std::nullopt;
-    const QosAssertion &a = v.assertion;
-    const double elapsed = result.dispatch.elapsedMs;
     const std::vector<sim::TimelineBucket> &timeline =
         result.dispatch.timeline;
-
+    const double elapsed = result.dispatch.elapsedMs;
     auto clamped = [&](double from, double until) {
         TraceWindow w;
         w.fromMs = std::max(0.0, from);
@@ -603,63 +599,6 @@ violationWindow(const AssertionResult &v, const sim::FleetResult &result,
             w.untilMs = w.fromMs;
         return w;
     };
-
-    switch (a.kind) {
-    case Kind::ClassTailAtMost:
-    case Kind::FleetTailAtMost: {
-        // Tight window over the buckets that actually violated the
-        // bound (mirrors evaluate()'s bucket scan), padded by one
-        // bucket of context each side. A window with no completions at
-        // all has no violating bucket — fall back to the asserted
-        // window itself.
-        std::size_t ci = 0;
-        if (a.kind == Kind::ClassTailAtMost) {
-            for (std::size_t i = 0;
-                 i < result.dispatch.perClass.size(); ++i) {
-                if (result.dispatch.perClass[i].name == a.className)
-                    ci = i;
-            }
-        }
-        double lo = kInf;
-        double hi = -kInf;
-        for (const sim::TimelineBucket &b : timeline) {
-            if (b.startMs >= a.untilMs ||
-                b.startMs + timeline_bucket_ms <= a.fromMs)
-                continue;
-            std::uint64_t done = b.completions;
-            double p99 = b.p99Ms;
-            if (a.kind == Kind::ClassTailAtMost && ci < b.perClass.size()) {
-                done = b.perClass[ci].completions;
-                p99 = b.perClass[ci].p99Ms;
-            }
-            if (done == 0 || p99 <= a.bound)
-                continue;
-            lo = std::min(lo, b.startMs);
-            hi = std::max(hi, b.startMs + timeline_bucket_ms);
-        }
-        if (!std::isfinite(lo))
-            return clamped(a.fromMs, a.untilMs);
-        return clamped(lo - timeline_bucket_ms, hi + timeline_bucket_ms);
-    }
-    case Kind::AttainmentAtLeast:
-        // Attainment is a whole-run verdict; there is no tighter slice.
-        return clamped(0.0, elapsed);
-    case Kind::RecoveryWithin:
-        // The allowance the class blew: from the incident clearing to
-        // the recovery deadline, plus one bucket of context after.
-        return clamped(a.fromMs,
-                       a.fromMs + a.bound + timeline_bucket_ms);
-    }
-    return std::nullopt;
-}
-
-std::vector<AssertionResult>
-evaluate(const std::vector<QosAssertion> &assertions,
-         const sim::FleetResult &result, double timeline_bucket_ms)
-{
-    using Kind = QosAssertion::Kind;
-    const std::vector<sim::TimelineBucket> &timeline =
-        result.dispatch.timeline;
 
     std::vector<AssertionResult> verdicts;
     verdicts.reserve(assertions.size());
@@ -680,33 +619,44 @@ evaluate(const std::vector<QosAssertion> &assertions,
         case Kind::FleetTailAtMost: {
             // Worst bucket-p99 over buckets overlapping the window that
             // actually saw completions — an empty bucket says nothing.
+            // The buckets over the bound span [lo, hi).
             std::size_t ci = a.kind == Kind::ClassTailAtMost
                                  ? classIndex(result, a.className)
                                  : 0;
             double worst = 0.0;
             std::uint64_t seen = 0;
+            double lo = kInf;
+            double hi = -kInf;
             for (const sim::TimelineBucket &b : timeline) {
                 if (b.startMs >= a.untilMs ||
                     b.startMs + timeline_bucket_ms <= a.fromMs)
                     continue;
+                std::uint64_t done = b.completions;
+                double p99 = b.p99Ms;
                 if (a.kind == Kind::ClassTailAtMost) {
                     STRETCH_ASSERT(ci < b.perClass.size(),
                                    "timeline has no per-class cells");
-                    const sim::TimelineBucket::ClassCell &cell =
-                        b.perClass[ci];
-                    if (cell.completions == 0)
-                        continue;
-                    seen += cell.completions;
-                    worst = std::max(worst, cell.p99Ms);
-                } else {
-                    if (b.completions == 0)
-                        continue;
-                    seen += b.completions;
-                    worst = std::max(worst, b.p99Ms);
+                    done = b.perClass[ci].completions;
+                    p99 = b.perClass[ci].p99Ms;
+                }
+                if (done == 0)
+                    continue;
+                seen += done;
+                worst = std::max(worst, p99);
+                if (p99 > a.bound) {
+                    lo = std::min(lo, b.startMs);
+                    hi = std::max(hi, b.startMs + timeline_bucket_ms);
                 }
             }
             v.observed = worst;
             v.pass = seen > 0 && worst <= a.bound;
+            // A window with no completions at all has no bucket over the
+            // bound: its trace window is the asserted window itself.
+            if (!v.pass)
+                v.window = std::isfinite(lo)
+                               ? clamped(lo - timeline_bucket_ms,
+                                         hi + timeline_bucket_ms)
+                               : clamped(a.fromMs, a.untilMs);
             std::ostringstream os;
             os << describe(a) << ": worst bucket p99 " << num(worst)
                << " ms over " << seen << " completions";
@@ -720,6 +670,9 @@ evaluate(const std::vector<QosAssertion> &assertions,
                 result.dispatch.perClass[classIndex(result, a.className)];
             v.observed = c.sloAttainment;
             v.pass = c.sloAttainment >= a.bound;
+            // A whole-run verdict has no tighter slice.
+            if (!v.pass)
+                v.window = clamped(0.0, elapsed);
             std::ostringstream os;
             os << describe(a) << ": attained " << num(c.sloAttainment)
                << " (" << c.completed << " completed, " << c.shed
@@ -756,6 +709,10 @@ evaluate(const std::vector<QosAssertion> &assertions,
                              ? std::max(0.0, recoveredAt - a.fromMs)
                              : kInf;
             v.pass = v.observed <= a.bound;
+            // The allowance the run blew, plus one bucket of context.
+            if (!v.pass)
+                v.window = clamped(a.fromMs,
+                                   a.fromMs + a.bound + timeline_bucket_ms);
             std::ostringstream os;
             os << describe(a) << ": ";
             if (std::isfinite(v.observed))

@@ -256,15 +256,6 @@ void scaleAssertionTimes(std::vector<QosAssertion> &assertions,
  *  `kind` field of run-report assertion entries). */
 const char *toString(QosAssertion::Kind kind);
 
-/** Verdict of one assertion against one run. */
-struct AssertionResult
-{
-    QosAssertion assertion;
-    bool pass = false;
-    double observed = 0.0; ///< worst p99 / attainment / recovery ms
-    std::string detail;    ///< human-readable one-liner
-};
-
 /** A simulated-time window (for trace attachments). */
 struct TraceWindow
 {
@@ -272,22 +263,29 @@ struct TraceWindow
     double untilMs = 0.0;
 };
 
-/**
- * The window of simulated time around the timeline buckets that made
- * @p v fail, padded by one bucket on each side and clamped to the run
- * — the slice of trace a run report attaches to a failed assertion.
- * Empty for passing assertions; attainment failures (no bucket window
- * of their own) cover the whole run.
- */
-std::optional<TraceWindow>
-violationWindow(const AssertionResult &v, const sim::FleetResult &result,
-                double timeline_bucket_ms);
+/** Verdict of one assertion against one run. */
+struct AssertionResult
+{
+    QosAssertion assertion;
+    bool pass = false;
+    double observed = 0.0; ///< worst p99 / attainment / recovery ms
+    std::string detail;    ///< human-readable one-liner
+    /**
+     * Failed verdicts only: the slice of trace a run report attaches,
+     * clamped to the run. A tail bound spans its buckets over the
+     * bound, padded by one bucket on each side (the asserted window
+     * when no bucket saw completions); attainment covers the whole run;
+     * recovery spans its allowance plus one bucket.
+     */
+    std::optional<TraceWindow> window;
+};
 
 /**
  * Evaluate assertions against a finished run. Tail and recovery kinds
  * need the run's timeline (@p timeline_bucket_ms must match the
  * config's bucketing; fatal when a timeline-dependent assertion meets
  * a run without one); attainment reads `DispatchOutcome::perClass`.
+ * Each failed verdict carries its trace window.
  */
 std::vector<AssertionResult>
 evaluate(const std::vector<QosAssertion> &assertions,

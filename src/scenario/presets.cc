@@ -1,11 +1,8 @@
 #include "scenario/presets.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/log.h"
 
 namespace stretch::scenario
@@ -479,7 +476,7 @@ runDrill(const Drill &d, const std::function<void(Scenario &)> &tweak)
         sim::FleetConfig quiet = lower(s);
         ratePerMs = quiet.arrivalRatePerMs;
         requests = static_cast<double>(quiet.requests);
-        meanLoad = s.trace ? s.trace->meanLoad() : 1.0;
+        meanLoad = s.diurnalTrace ? s.diurnalTrace->meanLoad() : 1.0;
     }
     STRETCH_ASSERT(ratePerMs > 0.0, "drill '", d.name,
                    "' resolved no arrival rate");
@@ -503,57 +500,22 @@ runDrill(const Drill &d, const std::function<void(Scenario &)> &tweak)
 
     DrillOutcome out;
     out.horizonMs = horizonMs;
-    const bool instrumented = !s.reportPath.empty() || !s.tracePath.empty();
-    std::vector<std::shared_ptr<obs::EngineTracer>> nodeTracers;
-    if (rack) {
-        // Rack drills run the cluster layer directly so the drill
-        // report (written below) carries the assertion verdicts.
-        // `tracePath` gets the merged per-node cluster trace; the
-        // single-tracer DrillOutcome::trace slot stays null.
-        cluster::ClusterConfig cfg = lowerRack(s);
-        if (!s.tracePath.empty()) {
-            for (const sim::FleetConfig &node : cfg.nodes) {
-                nodeTracers.push_back(
-                    std::make_shared<obs::EngineTracer>(node.cores.size()));
-                cfg.nodeTracers.push_back(nodeTracers.back().get());
-            }
-        }
-        if (!s.reportPath.empty()) {
-            out.metrics = std::make_shared<obs::MetricRegistry>();
-            cfg.metrics = out.metrics.get();
-        }
-        out.result = std::move(cluster::runCluster(cfg).merged);
-    } else if (!instrumented) {
-        out.result = run(s);
-    } else {
-        // Instrument here instead of letting run() write the artifacts:
-        // the drill report must carry the assertion verdicts, which do
-        // not exist until after evaluation.
-        InstrumentedRun r = runInstrumented(s);
-        out.result = std::move(r.result);
-        out.trace = std::move(r.trace);
-        out.metrics = std::move(r.metrics);
-    }
-    out.assertions = evaluate(assertions, out.result, bucketMs);
+    InstrumentedRun r = runInstrumented(s);
+    out.assertions = evaluate(assertions, r.result, bucketMs);
     out.pass = std::all_of(out.assertions.begin(), out.assertions.end(),
-                           [](const AssertionResult &r) { return r.pass; });
+                           [](const AssertionResult &v) { return v.pass; });
+    // A rack's node tracers stay out of the single-tracer slot, and its
+    // report cuts no events into the assertion windows.
+    if (!rack && !r.traces.empty())
+        out.trace = r.traces.front();
+    out.metrics = r.metrics;
 
-    if (!s.tracePath.empty()) {
-        if (rack) {
-            std::vector<const obs::EngineTracer *> taps;
-            taps.reserve(nodeTracers.size());
-            for (const std::shared_ptr<obs::EngineTracer> &t : nodeTracers)
-                taps.push_back(t.get());
-            obs::writeClusterTraceFile(taps, s.tracePath);
-        } else if (out.trace) {
-            out.trace->writeFile(s.tracePath);
-        }
-    }
-    if (!s.reportPath.empty()) {
-        obs::RunReport rep = makeReport(s, out.result, out.metrics.get(),
-                                        out.trace.get());
+    // The artifacts are written after evaluation, so the drill report
+    // carries the assertion verdicts.
+    if (!s.reportPath.empty() || !s.tracePath.empty()) {
+        obs::RunReport rep =
+            makeReport(s, r.result, out.metrics.get(), out.trace.get());
         rep.label = d.name;
-        rep.timelineBucketMs = bucketMs;
         for (const AssertionResult &v : out.assertions) {
             obs::RunReport::Assertion a;
             a.kind = toString(v.assertion.kind);
@@ -564,16 +526,16 @@ runDrill(const Drill &d, const std::function<void(Scenario &)> &tweak)
             a.observed = v.observed;
             a.pass = v.pass;
             a.detail = v.detail;
-            if (std::optional<TraceWindow> win =
-                    violationWindow(v, out.result, bucketMs)) {
+            if (v.window) {
                 a.hasWindow = true;
-                a.windowFromMs = win->fromMs;
-                a.windowUntilMs = win->untilMs;
+                a.windowFromMs = v.window->fromMs;
+                a.windowUntilMs = v.window->untilMs;
             }
             rep.assertions.push_back(std::move(a));
         }
-        obs::writeReportFile(s.reportPath, rep);
+        writeArtifacts(s, r, rep);
     }
+    out.result = std::move(r.result);
     return out;
 }
 

@@ -234,7 +234,7 @@ ScenarioBuilder::burstiness(double ratio, double dwell_low_ms,
 ScenarioBuilder &
 ScenarioBuilder::diurnal(queueing::DiurnalTrace trace, double ms_per_hour)
 {
-    draft.trace = std::move(trace);
+    draft.diurnalTrace = std::move(trace);
     draft.msPerHour = ms_per_hour;
     return *this;
 }
@@ -380,7 +380,7 @@ ScenarioBuilder::tryBuild() const
     if (draft.nodes == 0)
         errors.push_back("nodes(0): a scenario needs at least one node");
     if (draft.nodes > 1) {
-        if (draft.trace) {
+        if (draft.diurnalTrace) {
             errors.push_back("rack scenarios (nodes > 1) cannot yet resolve "
                              "their ingress rate under a diurnal trace: "
                              "drop diurnal(...) or nodes(n)");
@@ -413,15 +413,15 @@ ScenarioBuilder::tryBuild() const
     }
     if (draft.dwellLowMs <= 0.0 || draft.dwellHighMs <= 0.0)
         errors.push_back("MMPP-2 state dwells must be positive");
-    if (draft.trace && draft.msPerHour <= 0.0) {
+    if (draft.diurnalTrace && draft.msPerHour <= 0.0) {
         errors.push_back("diurnal replay needs a positive ms-per-hour "
                          "(got " + num(draft.msPerHour) + ")");
     }
-    if (draft.dayRequests && !draft.trace) {
+    if (draft.dayRequests && !draft.diurnalTrace) {
         errors.push_back("dayLongStream() sizes the stream to a replayed "
                          "24 h day: call diurnal(trace, msPerHour) too");
     }
-    if (draft.hourlyTimeline && !draft.trace) {
+    if (draft.hourlyTimeline && !draft.diurnalTrace) {
         errors.push_back("hourlyTimeline() buckets by replayed hour: call "
                          "diurnal(trace, msPerHour) too, or use "
                          "timeline(bucketMs)");
@@ -568,21 +568,12 @@ lowerQuiet(const Scenario &s)
                    "per-class arrivals without service classes");
 
     sim::FleetConfig fleet;
+    static_cast<sim::TrafficSpec &>(fleet) = s;
+    if (s.hourlyTimeline)
+        fleet.timelineBucketMs = s.msPerHour;
     fleet.cores = s.cores;
     fleet.slots = s.slots;
     fleet.policy = s.placement;
-    fleet.requests = s.requests;
-    fleet.arrivalRatePerMs = s.arrivalRatePerMs;
-    fleet.seed = s.seed;
-    fleet.burstRatio = s.burstRatio;
-    fleet.dwellLowMs = s.dwellLowMs;
-    fleet.dwellHighMs = s.dwellHighMs;
-    fleet.diurnalTrace = s.trace;
-    fleet.msPerHour = s.msPerHour;
-    fleet.timelineBucketMs =
-        s.hourlyTimeline ? s.msPerHour : s.timelineBucketMs;
-    fleet.classes = s.classes;
-    fleet.perClassArrivals = s.perClassArrivals;
     fleet.classRouting = s.classRouting;
     fleet.control = s.control;
     fleet.threads = s.threads;
@@ -590,10 +581,10 @@ lowerQuiet(const Scenario &s)
     if (!s.needsCalibration()) {
         if (s.dayRequests) {
             // needsCalibration() is false, so the peak rate is explicit.
-            STRETCH_ASSERT(s.trace,
+            STRETCH_ASSERT(s.diurnalTrace,
                            "day-sized stream without a diurnal trace");
             fleet.requests = static_cast<std::uint64_t>(
-                fleet.arrivalRatePerMs * s.trace->meanLoad() * 24.0 *
+                fleet.arrivalRatePerMs * s.diurnalTrace->meanLoad() * 24.0 *
                 s.msPerHour);
         }
         return fleet;
@@ -611,8 +602,9 @@ lowerQuiet(const Scenario &s)
         // Under a trace the dispatcher rate is the PEAK rate; divide by
         // the mean trace load so the targeted MEAN load holds.
         fleet.arrivalRatePerMs =
-            s.trace ? s.meanLoadFraction * capacity / s.trace->meanLoad()
-                    : s.meanLoadFraction * capacity;
+            s.diurnalTrace
+                ? s.meanLoadFraction * capacity / s.diurnalTrace->meanLoad()
+                : s.meanLoadFraction * capacity;
     } else if (s.peakLoadFraction > 0.0) {
         fleet.arrivalRatePerMs = s.peakLoadFraction * capacity;
     }
@@ -621,10 +613,11 @@ lowerQuiet(const Scenario &s)
         fleet.control.monitor.qosTarget = s.qosTargetFactor * cal.p99Ms;
 
     if (s.dayRequests) {
-        STRETCH_ASSERT(s.trace, "day-sized stream without a diurnal trace");
+        STRETCH_ASSERT(s.diurnalTrace,
+                       "day-sized stream without a diurnal trace");
         fleet.requests = static_cast<std::uint64_t>(
-            fleet.offeredRatePerMs(capacity) * s.trace->meanLoad() * 24.0 *
-            s.msPerHour);
+            fleet.offeredRatePerMs(capacity) * s.diurnalTrace->meanLoad() *
+            24.0 * s.msPerHour);
     }
     return fleet;
 }
@@ -706,7 +699,7 @@ lowerRack(const Scenario &s)
 {
     STRETCH_ASSERT(s.nodes > 1, "lowerRack needs a rack scenario: call "
                    "nodes(n) with n > 1");
-    STRETCH_ASSERT(!s.trace,
+    STRETCH_ASSERT(!s.diurnalTrace,
                    "rack scenarios do not support diurnal replay");
 
     // The per-node fleet is the scenario lowered as ONE node with no
@@ -726,86 +719,80 @@ lowerRack(const Scenario &s)
     sim::FleetConfig node = lowerQuiet(nodeScenario);
 
     cluster::ClusterConfig cfg = cluster::homogeneousCluster(s.nodes, node);
+    // The scenario's stream is rack-wide already, an explicit rate too.
+    static_cast<sim::TrafficSpec &>(cfg) = s;
     cfg.ingress = s.ingress;
-    cfg.requests = s.requests; // scenario requests are rack-wide already
-    cfg.seed = s.seed;
     cfg.threads = s.threads;
-    cfg.timelineBucketMs = s.timelineBucketMs;
 
-    // Rate resolution: an explicit rate is rack-wide as given; load
-    // fractions resolve against the summed node capacities (the
+    // Load fractions resolve against the summed node capacities (the
     // memoised calibration probe measures one node; homogeneous racks
-    // multiply). Neither set leaves 0 — runCluster's 70%-of-measured
-    // default.
-    if (s.arrivalRatePerMs > 0.0) {
-        cfg.arrivalRatePerMs = s.arrivalRatePerMs;
-    } else {
-        const double fraction =
-            std::max(s.meanLoadFraction, s.peakLoadFraction);
-        if (fraction > 0.0)
-            cfg.arrivalRatePerMs =
-                fraction * calibrate(nodeScenario).capacityPerMs * s.nodes;
-    }
+    // multiply). No rate at all leaves 0 — runCluster's
+    // 70%-of-measured default.
+    const double fraction = std::max(s.meanLoadFraction, s.peakLoadFraction);
+    if (s.arrivalRatePerMs <= 0.0 && fraction > 0.0)
+        cfg.arrivalRatePerMs =
+            fraction * calibrate(nodeScenario).capacityPerMs * s.nodes;
 
     cfg.actions = compileRackActions(s);
     return cfg;
 }
 
-cluster::ClusterResult
-runRack(const Scenario &s)
-{
-    cluster::ClusterConfig cfg = lowerRack(s);
-
-    std::vector<std::unique_ptr<obs::EngineTracer>> tracers;
-    std::unique_ptr<obs::MetricRegistry> metrics;
-    if (!s.tracePath.empty()) {
-        for (const sim::FleetConfig &node : cfg.nodes) {
-            tracers.push_back(
-                std::make_unique<obs::EngineTracer>(node.cores.size()));
-            cfg.nodeTracers.push_back(tracers.back().get());
-        }
-    }
-    if (!s.reportPath.empty()) {
-        metrics = std::make_unique<obs::MetricRegistry>();
-        cfg.metrics = metrics.get();
-    }
-
-    cluster::ClusterResult result = cluster::runCluster(cfg);
-
-    if (!s.tracePath.empty()) {
-        std::vector<const obs::EngineTracer *> taps;
-        taps.reserve(tracers.size());
-        for (const std::unique_ptr<obs::EngineTracer> &t : tracers)
-            taps.push_back(t.get());
-        obs::writeClusterTraceFile(taps, s.tracePath);
-    }
-    if (!s.reportPath.empty()) {
-        obs::RunReport rep =
-            makeReport(s, result.merged, metrics.get(), nullptr);
-        obs::writeReportFile(s.reportPath, rep);
-    }
-    return result;
-}
-
-InstrumentedRun::InstrumentedRun() = default;
-InstrumentedRun::InstrumentedRun(InstrumentedRun &&) noexcept = default;
-InstrumentedRun &
-InstrumentedRun::operator=(InstrumentedRun &&) noexcept = default;
-InstrumentedRun::~InstrumentedRun() = default;
-
 InstrumentedRun
 runInstrumented(const Scenario &s)
 {
-    sim::FleetConfig fleet = lower(s);
     InstrumentedRun out;
-    if (!s.tracePath.empty())
-        out.trace = std::make_unique<obs::EngineTracer>(fleet.cores.size());
     if (!s.reportPath.empty())
-        out.metrics = std::make_unique<obs::MetricRegistry>();
-    fleet.tracer = out.trace.get();
-    fleet.metrics = out.metrics.get();
-    out.result = sim::runFleet(fleet);
+        out.metrics = std::make_shared<obs::MetricRegistry>();
+    // One tracer per node, when a trace is asked for.
+    const bool traced = !s.tracePath.empty();
+    auto tap = [&](std::size_t cores) {
+        out.traces.push_back(std::make_shared<obs::EngineTracer>(cores));
+        return out.traces.back().get();
+    };
+
+    if (s.nodes <= 1) {
+        sim::FleetConfig fleet = lower(s);
+        fleet.tracer = traced ? tap(fleet.cores.size()) : nullptr;
+        fleet.metrics = out.metrics.get();
+        out.result = sim::runFleet(fleet);
+        return out;
+    }
+    cluster::ClusterConfig cfg = lowerRack(s);
+    if (traced)
+        for (const sim::FleetConfig &node : cfg.nodes)
+            cfg.nodeTracers.push_back(tap(node.cores.size()));
+    cfg.metrics = out.metrics.get();
+    out.rack = cluster::runCluster(cfg);
+    out.result = std::move(out.rack.merged);
     return out;
+}
+
+void
+writeArtifacts(const Scenario &s, const InstrumentedRun &r,
+               const obs::RunReport &report)
+{
+    if (!s.tracePath.empty()) {
+        std::vector<const obs::EngineTracer *> taps;
+        for (const std::shared_ptr<obs::EngineTracer> &t : r.traces)
+            taps.push_back(t.get());
+        obs::writeClusterTraceFile(taps, s.tracePath);
+    }
+    if (!s.reportPath.empty())
+        obs::writeReportFile(s.reportPath, report);
+}
+
+cluster::ClusterResult
+runRack(const Scenario &s)
+{
+    STRETCH_ASSERT(s.nodes > 1, "runRack needs a rack scenario: call "
+                   "nodes(n) with n > 1");
+    InstrumentedRun r = runInstrumented(s);
+    // A rack report borrows no tracer: its windows carry no events.
+    if (!s.reportPath.empty() || !s.tracePath.empty())
+        writeArtifacts(s, r,
+                       makeReport(s, r.result, r.metrics.get(), nullptr));
+    r.rack.merged = std::move(r.result);
+    return std::move(r.rack);
 }
 
 obs::RunReport
@@ -841,7 +828,7 @@ makeReport(const Scenario &s, const sim::FleetResult &result,
     if (s.peakLoadFraction > 0.0)
         r.addConfig("peakLoadFraction", s.peakLoadFraction);
     r.addConfig("burstRatio", s.burstRatio);
-    if (s.trace)
+    if (s.diurnalTrace)
         r.addConfig("diurnalMsPerHour", s.msPerHour);
     if (!s.classes.empty()) {
         std::string names;
@@ -873,30 +860,12 @@ makeReport(const Scenario &s, const sim::FleetResult &result,
     return r;
 }
 
-namespace
-{
-
-/** Write whatever artifacts @p s's reporting paths ask for. */
-void
-writeRunArtifacts(const Scenario &s, const InstrumentedRun &r)
-{
-    if (!s.tracePath.empty() && r.trace)
-        r.trace->writeFile(s.tracePath);
-    if (!s.reportPath.empty()) {
-        obs::RunReport rep =
-            makeReport(s, r.result, r.metrics.get(), r.trace.get());
-        obs::writeReportFile(s.reportPath, rep);
-    }
-}
-
-} // namespace
-
 sim::FleetResult
 run(const Scenario &s)
 {
     // Rack scenarios route through the cluster layer; the merged
     // cluster-level view is fleet-shaped, so sweeps and reports work
-    // unchanged. runRack writes any requested artifacts itself.
+    // unchanged.
     if (s.nodes > 1)
         return std::move(runRack(s).merged);
     // Fast path: no artifacts requested means no tracer and no registry
@@ -904,7 +873,9 @@ run(const Scenario &s)
     if (s.reportPath.empty() && s.tracePath.empty())
         return sim::runFleet(lower(s));
     InstrumentedRun r = runInstrumented(s);
-    writeRunArtifacts(s, r);
+    const obs::EngineTracer *trace =
+        r.traces.empty() ? nullptr : r.traces.front().get();
+    writeArtifacts(s, r, makeReport(s, r.result, r.metrics.get(), trace));
     return std::move(r.result);
 }
 

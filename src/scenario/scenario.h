@@ -61,8 +61,12 @@ inline constexpr std::uint64_t calibrationRequests = 6000;
  * are plain data so `Sweep` patches — and tests — can mutate a copy
  * after validation. `lower`/`run` re-assert the load-bearing
  * invariants, so a patch cannot silently produce a nonsense run.
+ *
+ * The request stream is the inherited `sim::TrafficSpec`, handed to the
+ * lowered fleet or rack in one assignment. Its `arrivalRatePerMs` stays
+ * 0 when a load fraction below sets the rate.
  */
-struct Scenario
+struct Scenario : sim::TrafficSpec
 {
     /** Experiment name (used in sweep labels and logs). */
     std::string name = "scenario";
@@ -83,33 +87,17 @@ struct Scenario
     cluster::IngressConfig ingress;
     /// @}
 
-    /// @name Traffic.
+    /// @name Traffic beyond the inherited stream.
     /// @{
-    std::uint64_t requests = 20000; ///< stream length (0 = measure only)
     /** Size the stream to span one replayed 24 h day (diurnal only);
      *  overrides `requests`. */
     bool dayRequests = false;
-    /** Absolute arrival rate (req/ms; the PEAK rate under a trace).
-     *  0 = derive from a load fraction or the dispatcher default. */
-    double arrivalRatePerMs = 0.0;
     /** Target *mean* load as a fraction of measured baseline capacity
      *  (0 = unset). Resolved against a calibration probe. */
     double meanLoadFraction = 0.0;
     /** Target *peak* rate as a fraction of measured baseline capacity
      *  (0 = unset); equals the mean without a trace. */
     double peakLoadFraction = 0.0;
-    /** Fleet-wide burstiness (1 = Poisson, > 1 = MMPP-2). */
-    double burstRatio = 1.0;
-    double dwellLowMs = 200.0;  ///< MMPP-2 calm-state mean dwell
-    double dwellHighMs = 40.0;  ///< MMPP-2 burst-state mean dwell
-    /** 24-hour load replay (overrides burstRatio). */
-    std::optional<queueing::DiurnalTrace> trace;
-    double msPerHour = 50.0; ///< time compression of the replay
-    /** Service classes (empty = the untagged single stream). */
-    workloads::ServiceClassRegistry classes;
-    /** Each class sources its own arrival process (auto-enabled when
-     *  any class customises `ServiceClass::traffic`). */
-    bool perClassArrivals = false;
     /// @}
 
     /// @name Control.
@@ -132,8 +120,6 @@ struct Scenario
 
     /// @name Reporting.
     /// @{
-    /** Completion-timeline bucket (ms); 0 = no timeline. */
-    double timelineBucketMs = 0.0;
     /** One timeline bucket per replayed hour (diurnal only);
      *  overrides timelineBucketMs. */
     bool hourlyTimeline = false;
@@ -146,11 +132,7 @@ struct Scenario
     std::string tracePath;
     /// @}
 
-    /// @name Runtime.
-    /// @{
-    std::uint64_t seed = 42;
     unsigned threads = 0; ///< worker threads (0 = hardware)
-    /// @}
 
     /** True when lowering must run a calibration probe first (a load
      *  fraction, a relative QoS target, or a day-sized stream whose
@@ -299,10 +281,11 @@ sim::FleetConfig lower(const Scenario &s);
 
 /** Run a scenario end to end: calibrate (if needed), lower, dispatch.
  *  When `reportPath`/`tracePath` are set the run is instrumented and
- *  the artifacts are written before returning; otherwise this is the
- *  zero-overhead fast path (no tracer, no registry, the untouched
- *  engine loop). Rack scenarios (nodes > 1) route through `runRack`
- *  and return the merged cluster-level view. */
+ *  the artifacts are written before returning (`runInstrumented`, then
+ *  `writeArtifacts`); otherwise this is the zero-overhead fast path (no
+ *  tracer, no registry, the untouched engine loop). Rack scenarios
+ *  (nodes > 1) route through `runRack` and return the merged
+ *  cluster-level view. */
 sim::FleetResult run(const Scenario &s);
 
 /**
@@ -318,36 +301,40 @@ sim::FleetResult run(const Scenario &s);
 cluster::ClusterConfig lowerRack(const Scenario &s);
 
 /** Run a rack scenario end to end through `cluster::runCluster`.
- *  `tracePath` writes the merged per-node Chrome trace
- *  (`obs::writeClusterTraceFile`); `reportPath` writes a run report
- *  over the merged cluster-level result with the `ingress.*` /
- *  `cluster.*` metric fill attached. */
+ *  `tracePath` writes the merged per-node Chrome trace; `reportPath`
+ *  writes a run report over the merged cluster-level result with the
+ *  `ingress.*` / `cluster.*` metric fill attached. */
 cluster::ClusterResult runRack(const Scenario &s);
 
 /**
- * A finished instrumented run: the fleet result plus whichever
- * observability objects the scenario's reporting paths enabled
- * (`trace` when `tracePath` was set, `metrics` when `reportPath` was —
- * null otherwise). `runInstrumented` writes NO files; callers that
- * want the artifacts on disk use `run`, or serialize these themselves
- * (the drill runner does, so it can attach assertion verdicts first).
+ * A finished run plus whichever observability objects the scenario's
+ * reporting paths enabled: one tracer per node when `tracePath` was set
+ * (a fleet is one node), the registry when `reportPath` was — none
+ * otherwise.
  */
 struct InstrumentedRun
 {
-    InstrumentedRun();
-    InstrumentedRun(InstrumentedRun &&) noexcept;
-    InstrumentedRun &operator=(InstrumentedRun &&) noexcept;
-    ~InstrumentedRun();
-
+    /** The fleet result, or a rack's merged cluster-level view. */
     sim::FleetResult result;
-    std::unique_ptr<obs::EngineTracer> trace;
-    std::unique_ptr<obs::MetricRegistry> metrics;
+    /** A rack's per-node results, ingress stats and steered streams
+     *  (its `merged` view is `result`); empty for a fleet. */
+    cluster::ClusterResult rack;
+    std::vector<std::shared_ptr<obs::EngineTracer>> traces;
+    std::shared_ptr<obs::MetricRegistry> metrics;
 };
 
-/** Run a scenario with whatever instrumentation its reporting paths
- *  enable, returning the live tracer/registry instead of writing
- *  files. The simulated result is bit-identical to `run`. */
+/** Run a fleet or rack scenario with whatever instrumentation its
+ *  reporting paths enable, writing NO files: callers pass the run to
+ *  `writeArtifacts`, after adding what they want to its report (the
+ *  drill runner adds assertion verdicts). The simulated result is
+ *  bit-identical to `run`. */
 InstrumentedRun runInstrumented(const Scenario &s);
+
+/** Write the artifacts @p s asks for: @p r's tracers as one Chrome
+ *  trace (`obs::writeClusterTraceFile`) to `tracePath`, then @p report
+ *  to `reportPath`. Either path may be empty. */
+void writeArtifacts(const Scenario &s, const InstrumentedRun &r,
+                    const obs::RunReport &report);
 
 /** Assemble a run report for @p s: identity (label, seed, config
  *  echo), the effective timeline bucket, and borrowed pointers to the

@@ -342,6 +342,17 @@ struct DispatchSpec : TrafficSpec
     const std::vector<InjectedArrival> *injected = nullptr;
 
     /**
+     * Latency-quantile fidelity. False (default) records completions
+     * into streaming log-scale histograms (stats::StreamingTail): O(1)
+     * per completion, bounded memory, quantiles within one histogram
+     * bin (< 0.8% relative) of the exact order statistic. True keeps
+     * every raw sample and reproduces sort-based type-7 quantiles
+     * bit-for-bit, for checks that compare tails exactly (a rack sets
+     * its nodes' copy from `cluster::ClusterConfig`).
+     */
+    bool exactTailQuantiles = false;
+
+    /**
      * Keep the raw latency recorders in the outcome (fleet-wide,
      * per-class, and per-timeline-bucket) so a cluster merge can combine
      * per-node tails exactly — StreamingTail merges are associative and

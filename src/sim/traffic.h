@@ -4,11 +4,11 @@
  * fleet dispatcher and the rack ingress.
  *
  * `TrafficSpec` holds the stream knobs: length, rate, seed, burstiness,
- * diurnal replay, service classes, and the two recording knobs every
- * layer forwards (timeline buckets, exact quantiles).
- * `sim::DispatchConfig`, `sim::FleetConfig` and `cluster::ClusterConfig`
- * inherit it, so a fleet hands its traffic to the dispatcher, and a node
- * hands its traffic to a rack, in one assignment.
+ * diurnal replay, service classes, and the timeline bucket width every
+ * layer forwards. `sim::DispatchConfig`, `sim::FleetConfig`,
+ * `cluster::ClusterConfig` and `scenario::Scenario` inherit it, so a
+ * scenario hands its traffic to a fleet, a fleet to the dispatcher, and
+ * a node to a rack, in one assignment.
  *
  * `TrafficSource` turns a spec into requests, yielding the interarrival
  * gap, class tag and unit-mean demand of each. It covers the shared
@@ -92,16 +92,6 @@ struct TrafficSpec
      *  summaries over buckets of this many milliseconds (e.g. one per
      *  replayed hour); 0 disables the timeline. */
     double timelineBucketMs = 0.0;
-
-    /**
-     * Latency-quantile fidelity. False (default) records completions
-     * into streaming log-scale histograms (stats::StreamingTail): O(1)
-     * per completion, bounded memory, quantiles within one histogram
-     * bin (< 0.8% relative) of the exact order statistic. True keeps
-     * every raw sample and reproduces sort-based type-7 quantiles
-     * bit-for-bit, for golden tests and figure benches.
-     */
-    bool exactTailQuantiles = false;
 
     /**
      * The rate offered to servers of @p capacity_per_ms summed baseline

@@ -866,9 +866,9 @@ TEST(ScenarioReporting, RunInstrumentedReturnsLiveObjectsAndWritesNothing)
     s.reportPath = (dir / "live.report.json").string();
     scenario::InstrumentedRun r = scenario::runInstrumented(s);
 
-    ASSERT_NE(r.trace, nullptr);
+    ASSERT_EQ(r.traces.size(), 1u);
     ASSERT_NE(r.metrics, nullptr);
-    EXPECT_GT(r.trace->events().size(), 0u);
+    EXPECT_GT(r.traces[0]->events().size(), 0u);
     EXPECT_EQ(r.metrics->counterValue("engine.completions"),
               r.result.dispatch.latencyMs.count);
     EXPECT_FALSE(fs::exists(trace)); // serialization is the caller's call

@@ -60,7 +60,7 @@ TEST(PresetFidelity, Fig15ReplaysADiurnalDayOnABigLittleFleet)
 {
     Scenario s = preset("fig15-diurnal");
     ASSERT_EQ(s.cores.size(), 4u);
-    ASSERT_TRUE(s.trace.has_value());
+    ASSERT_TRUE(s.diurnalTrace.has_value());
     ASSERT_EQ(s.slots.size(), 4u);
     // Big.little: the back two slots are narrowed; the front two keep
     // their RunConfig sizes (0 = no override).
