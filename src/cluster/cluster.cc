@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -777,18 +778,18 @@ runCluster(const ClusterConfig &cfg)
                    "signal delay must be non-negative");
     STRETCH_ASSERT(cfg.nodeTracers.empty() || cfg.nodeTracers.size() == n,
                    "nodeTracers must be empty or one per node");
-    std::size_t failures = 0;
+    std::set<std::size_t> failed; // failing a node again is a no-op
     for (const NodeAction &a : cfg.actions) {
         STRETCH_ASSERT(a.atMs >= 0.0, "node actions cannot predate the run");
         if (a.kind != NodeAction::Kind::ArrivalScale)
             STRETCH_ASSERT(a.node < n, "node action targets node ", a.node,
                            " of ", n);
         if (a.kind == NodeAction::Kind::NodeFail)
-            ++failures;
+            failed.insert(a.node);
         else
             STRETCH_ASSERT(a.value > 0.0, "scale factors must be positive");
     }
-    STRETCH_ASSERT(failures < n, "at least one node must survive");
+    STRETCH_ASSERT(failed.size() < n, "at least one node must survive");
 
     ClusterResult result;
 

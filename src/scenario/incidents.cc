@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
 
 #include "scenario/scenario.h"
@@ -323,21 +324,21 @@ incidentErrors(const Scenario &s)
         }
     };
 
-    std::size_t failures = 0;
-    std::size_t nodeFailures = 0;
+    // Failing a core or node again is a no-op, so count distinct ones.
+    std::set<std::size_t> failedCores;
+    std::set<std::size_t> failedNodes;
     for (std::size_t i = 0; i < s.incidents.size(); ++i) {
         std::visit(Check{s, cores, i, errors}, s.incidents[i]);
-        if (std::holds_alternative<CoreFailure>(s.incidents[i]))
-            ++failures;
-        if (std::holds_alternative<NodeFailure>(s.incidents[i]))
-            ++nodeFailures;
+        if (const CoreFailure *f = std::get_if<CoreFailure>(&s.incidents[i]))
+            failedCores.insert(f->core);
+        if (const NodeFailure *f = std::get_if<NodeFailure>(&s.incidents[i]))
+            failedNodes.insert(f->node);
     }
-    if (!cores || failures >= cores) {
-        if (failures > 0)
-            errors.push_back("incidents fail every core in the fleet: at "
-                             "least one core must survive");
+    if (!failedCores.empty() && failedCores.size() >= cores) {
+        errors.push_back("incidents fail every core in the fleet: at "
+                         "least one core must survive");
     }
-    if (nodeFailures > 0 && nodeFailures >= s.nodes) {
+    if (!failedNodes.empty() && failedNodes.size() >= s.nodes) {
         errors.push_back("incidents fail every node in the rack: at least "
                          "one node must survive");
     }

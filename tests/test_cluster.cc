@@ -539,6 +539,22 @@ TEST(RackValidation, FailingEveryNodeIsRejected)
         << r.errorText();
 }
 
+TEST(RackValidation, RepeatedFailureOfOneNodeIsNotTotal)
+{
+    // Failing a node again is a no-op, so two failures of node 0 leave
+    // node 1 serving the rest of the stream.
+    scenario::BuildResult r = rackBuilder()
+                                  .nodes(2)
+                                  .incident(scenario::NodeFailure{0, 1.0})
+                                  .incident(scenario::NodeFailure{0, 2.0})
+                                  .tryBuild();
+    ASSERT_TRUE(r.ok()) << r.errorText();
+    const cluster::ClusterResult rack = scenario::runRack(*r.scenario);
+    ASSERT_EQ(rack.ingress.steered.size(), 2u);
+    EXPECT_GT(rack.ingress.steered[1], rack.ingress.steered[0]);
+    EXPECT_EQ(rack.ingress.steered[0] + rack.ingress.steered[1], 2000u);
+}
+
 TEST(RackScenario, RunRoutesRacksThroughTheClusterLayer)
 {
     scenario::Scenario s = rackBuilder().expect();

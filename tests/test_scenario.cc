@@ -177,6 +177,23 @@ TEST(ScenarioBuilder, ExplicitSeedSurvivesCoresCall)
     EXPECT_EQ(pinned_after.seed, 7u);
 }
 
+TEST(ScenarioBuilder, RepeatedFailureOfOneCoreIsNotTotal)
+{
+    // Failing a core again is a no-op, so two failures of core 0 leave
+    // core 1 serving the rest of the stream.
+    BuildResult r = ScenarioBuilder()
+                        .cores(2, smallConfig())
+                        .requests(2000)
+                        .incident(CoreFailure{0, 1.0})
+                        .incident(CoreFailure{0, 2.0})
+                        .tryBuild();
+    ASSERT_TRUE(r.ok()) << r.errorText();
+    const sim::FleetResult f = run(*r.scenario);
+    ASSERT_EQ(f.dispatch.placed.size(), 2u);
+    EXPECT_GT(f.dispatch.placed[1], f.dispatch.placed[0]);
+    EXPECT_EQ(f.dispatch.placed[0] + f.dispatch.placed[1], 2000u);
+}
+
 TEST(ScenarioLowering, MatchesHandBuiltFleetConfigBitIdentically)
 {
     sim::RunConfig base = smallConfig();
