@@ -65,7 +65,8 @@ const Drill &drill(const std::string &name);
 /** A finished drill: the run, the scaled-and-evaluated assertions, and
  *  the overall verdict. When the drill ran instrumented (the tweak set
  *  `tracePath`/`reportPath`), the live tracer/registry ride along for
- *  cross-checking — null otherwise. */
+ *  cross-checking — null otherwise. A rack drill's per-node tracers do
+ *  not ride along: its `trace` stays null. */
 struct DrillOutcome
 {
     sim::FleetResult result;

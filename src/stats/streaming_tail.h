@@ -15,9 +15,10 @@
  * 2^kSubBucketBits = 128 bins, so any quantile is reported as its bin's
  * geometric midpoint — a guaranteed relative error below 2^-8 (~0.4%),
  * and strictly within one bin width of the exact order statistic.
- * Summaries that must be bit-identical to the historical sort-based
- * numbers (golden tests, paper-figure benches) opt into TailRecorder's
- * exact mode, which keeps the raw samples and sorts once at query time.
+ * Summaries that must be bit-identical to the sort-based numbers opt
+ * into TailRecorder's exact mode (`sim::DispatchSpec::exactTailQuantiles`
+ * for a dispatch), which keeps the raw samples and sorts once at query
+ * time.
  */
 
 #ifndef STRETCH_STATS_STREAMING_TAIL_H
