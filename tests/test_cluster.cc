@@ -452,6 +452,61 @@ TEST(TrafficGolden, ClusterSmallRackWithClasses)
                   {493, 511, 503, 493}});
 }
 
+TEST(TrafficGolden, ClusterFailoverCascade)
+{
+    // Node 1 fails at 30 ms and its queue fails over (0.5 ms later) to
+    // one node; that node fails at 31 ms, before the moved records have
+    // started, so they fail over a second time and keep their original
+    // arrival. A flash crowd and a degraded node ride along.
+    constexpr double firstFailMs = 30.0;
+    constexpr double failoverDelayMs = 0.5;
+    struct Case
+    {
+        cluster::IngressPolicy policy;
+        std::size_t second; ///< the node node 1's queue moved to
+        IngressPin pin;
+    };
+    const Case cases[] = {
+        {cluster::IngressPolicy::RoundRobin, 0,
+         {0x1f2a872059807fa8ull, 2000, 17, 0, 151, {80, 79, 927, 914}}},
+        {cluster::IngressPolicy::Jsq, 3,
+         {0x0aee8385765d940full, 2000, 54, 0, 151, {955, 71, 928, 46}}},
+        {cluster::IngressPolicy::FlowAffinity, 3,
+         {0xb00d77a3699ee4c6ull, 2000, 55, 1900, 151, {726, 77, 1196, 1}}},
+        {cluster::IngressPolicy::ClassAware, 2,
+         {0x82b3349953ee2b95ull, 2000, 59, 1656, 151, {1235, 92, 50, 623}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(cluster::toString(c.policy));
+        cluster::ClusterConfig cfg = smallRack();
+        cfg.classes = workloads::ServiceClassRegistry::searchAnalyticsPair(
+            8.0, 80.0);
+        cfg.ingress.policy = c.policy;
+        cfg.actions = {
+            {cluster::NodeAction::Kind::ArrivalScale, 10.0, 0, 1.6},
+            {cluster::NodeAction::Kind::NodeDegrade, 15.0, 3, 0.5},
+            {cluster::NodeAction::Kind::NodeFail, firstFailMs, 1, 1.0}};
+        const cluster::ClusterResult single = cluster::runCluster(cfg);
+        const auto movedOnce = [&](const cluster::ClusterResult &r) {
+            std::uint64_t k = 0;
+            for (const std::vector<sim::InjectedArrival> &node : r.injected)
+                for (const sim::InjectedArrival &a : node)
+                    k += a.atMs == firstFailMs + failoverDelayMs ? 1 : 0;
+            return k;
+        };
+        ASSERT_GT(single.ingress.failovers, 0u);
+        ASSERT_EQ(movedOnce(single), single.ingress.failovers);
+
+        cfg.actions.push_back(
+            {cluster::NodeAction::Kind::NodeFail, 31.0, c.second, 1.0});
+        const cluster::ClusterResult cascade = cluster::runCluster(cfg);
+        EXPECT_GT(cascade.ingress.failovers, single.ingress.failovers);
+        // Records moved at the first failure moved again.
+        EXPECT_LT(movedOnce(cascade), single.ingress.failovers);
+        expectPinned(cascade, c.pin);
+    }
+}
+
 // ---------------------------------------------------------- scenario layer
 
 scenario::ScenarioBuilder
