@@ -20,11 +20,14 @@
  * CPI-style slowdown proxy), a violating window whose newest CPI sample
  * is an outlier escalates straight to throttling — the antagonist has
  * been identified, so the ladder skips the remaining tolerance windows.
- * Outlier samples are counted in exact batches: every few hundred
- * samples, and whenever the count is read, one pass judges several
- * pending samples side by side. Each lane of the pass runs the serial
- * mean-and-deviation arithmetic over its own window, so the count equals
- * a per-sample check bit for bit at a fraction of its cost.
+ * Outlier samples are counted in batches: every few hundred samples, and
+ * whenever the count is read, one pass judges the pending samples. The
+ * pass slides sums of the window's values and squares, and bounds how far
+ * their rounding and the per-sample mean-and-deviation arithmetic's can
+ * move the threshold. A sample outside those bounds is decided by them,
+ * a window of equal values directly, and anything else replays the
+ * per-sample arithmetic, so the count equals a per-sample check bit for
+ * bit at a fraction of its cost.
  *
  * Units and determinism: latencies, the QoS target, and reported tails
  * are all in the caller's latency unit (the fleet dispatcher feeds

@@ -83,10 +83,17 @@ struct ViolinSummary
  * Exact percentile of a sample set via linear interpolation between order
  * statistics (the "linear" / type-7 rule used by numpy).
  *
- * @param values sample set; taken by value because it must be sorted.
+ * @param values sample set; taken by value because it is reordered.
  * @param pct percentile in [0, 100].
  */
 double percentile(std::vector<double> values, double pct);
+
+/**
+ * percentile() in place: selects the two order statistics it needs
+ * instead of sorting a copy, and returns the identical value. Leaves
+ * @p values in an unspecified order.
+ */
+double selectPercentile(std::vector<double> &values, double pct);
 
 /**
  * Exact type-7 percentile of an already-sorted sample set (no copy, no

@@ -4,7 +4,11 @@
  * decision ladder.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <vector>
 
@@ -232,6 +236,127 @@ TEST(Monitor, BatchedOutlierCountMatchesPerSample)
     EXPECT_GT(expected, 100u);
     EXPECT_LT(expected, cpi.size() / 4);
     EXPECT_GT(flatWindows, 10u);
+}
+
+/**
+ * Every sample of @p cpi through one monitor: cpiOutlier() after each,
+ * and cpiOutlierCount() at every 256-sample batch edge, checked against
+ * the per-sample RunningStat rule.
+ */
+void
+expectPerSampleVerdicts(const std::vector<double> &cpi)
+{
+    Cpi2Monitor mon(monitorConfig());
+    std::uint64_t expected = 0;
+    for (std::size_t k = 0; k < cpi.size(); ++k) {
+        mon.recordCpi(cpi[k]);
+        const stats::RunningStat rs = windowBefore(cpi, k);
+        const bool outlier =
+            k >= 7 && cpi[k] > rs.mean() + 2.0 * rs.stddev();
+        if (outlier)
+            ++expected;
+        ASSERT_EQ(mon.cpiOutlier(), outlier)
+            << "sample " << k << " = " << cpi[k];
+        const std::size_t edge = (k + 1) % 256;
+        if (edge <= 1 || edge == 255) {
+            ASSERT_EQ(mon.cpiOutlierCount(), expected)
+                << "after " << k + 1 << " samples";
+        }
+    }
+    EXPECT_EQ(mon.cpiOutlierCount(), expected);
+}
+
+TEST(Monitor, FilteredVerdictsMatchAtTheThreshold)
+{
+    Rng rng(0x7e5d);
+    std::vector<double> cpi;
+    // Probes at the exact RunningStat threshold of the 63 samples before
+    // them and up to 4 ulps either side, over windows of many scales.
+    for (double scale : {1.0, 1e-3, 1e6, 1e-100, 1e-200, -1.0}) {
+        for (int ulps = -4; ulps <= 4; ++ulps) {
+            for (int i = 0; i < 63; ++i)
+                cpi.push_back(scale * rng.lognormal(0.0, 0.5));
+            double y = windowBefore(cpi, cpi.size()).mean() +
+                       2.0 * windowBefore(cpi, cpi.size()).stddev();
+            for (int step = 0; step < std::abs(ulps); ++step)
+                y = std::nextafter(y, ulps > 0 ? HUGE_VAL : -HUGE_VAL);
+            cpi.push_back(y);
+        }
+    }
+    // Runs of 62 to 65 equal values across a batch edge, each probed at,
+    // just above and just below the value.
+    for (std::size_t run = 62; run <= 65; ++run) {
+        while ((cpi.size() + run / 2) % 256 != 0)
+            cpi.push_back(rng.lognormal(0.0, 0.3));
+        const double v = 1.0 + 0.25 * static_cast<double>(run - 62);
+        cpi.insert(cpi.end(), run, v);
+        for (double y : {v, std::nextafter(v, HUGE_VAL), v,
+                         std::nextafter(v, -HUGE_VAL), 2.0 * v})
+            cpi.push_back(y);
+    }
+    // Windows spread by only +-1e-12 around 1.0, probed near their
+    // threshold.
+    for (int i = 0; i < 400; ++i) {
+        if (i % 64 == 63) {
+            const stats::RunningStat rs = windowBefore(cpi, cpi.size());
+            double y = rs.mean() + 2.0 * rs.stddev();
+            for (std::uint64_t step = rng.below(3); step > 0; --step)
+                y = std::nextafter(y, rng.chance(0.5) ? 2.0 : 0.0);
+            cpi.push_back(y);
+        } else {
+            cpi.push_back(1.0 + 1e-12 * (2.0 * rng.uniform() - 1.0));
+        }
+    }
+    // A 1e9 spike, then small values: the spike cancels out of the
+    // sliding sum of squares once it leaves the window.
+    cpi.push_back(1e9);
+    for (int i = 0; i < 300; ++i)
+        cpi.push_back(rng.chance(0.05) ? 3.0 : rng.lognormal(0.0, 0.1));
+    // Values whose squares overflow: some spread wide (RunningStat's m2
+    // overflows too), some narrow enough for a finite threshold.
+    for (int i = 0; i < 300; ++i)
+        cpi.push_back(1e155 * rng.lognormal(0.0, 0.5));
+    for (int i = 0; i < 300; ++i)
+        cpi.push_back(1e160 * (1.0 + (rng.chance(0.05) ? 1e-8 : 1e-10) *
+                                         rng.uniform()));
+    // One infinite sample amid ordinary ones.
+    for (int i = 0; i < 300; ++i)
+        cpi.push_back(i == 100 ? HUGE_VAL : rng.lognormal(0.0, 0.5));
+    expectPerSampleVerdicts(cpi);
+}
+
+TEST(Monitor, WindowTailMatchesSortedPercentile)
+{
+    auto bits = [](double d) {
+        std::uint64_t u;
+        std::memcpy(&u, &d, sizeof u);
+        return u;
+    };
+    Rng rng(0x7a11);
+    for (double pct : {50.0, 90.0, 99.0, 99.9, 100.0}) {
+        MonitorConfig cfg = monitorConfig();
+        cfg.tailPercentile = pct;
+        Cpi2Monitor mon(cfg);
+        for (int trial = 0; trial < 200; ++trial) {
+            const std::size_t n = 1 + rng.below(300);
+            // Half the windows draw from a few values, so ties abound.
+            const bool ties = rng.chance(0.5);
+            std::vector<double> window;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double v =
+                    ties ? static_cast<double>(1 + rng.below(5))
+                         : rng.lognormal(2.0, 1.0);
+                window.push_back(v);
+                mon.recordLatency(v);
+            }
+            std::vector<double> sorted = window;
+            std::sort(sorted.begin(), sorted.end());
+            const double want = stats::percentileSorted(sorted, pct);
+            SCOPED_TRACE(testing::Message() << "pct " << pct << ", n " << n);
+            EXPECT_EQ(bits(stats::selectPercentile(window, pct)), bits(want));
+            EXPECT_EQ(bits(mon.evaluateWindowNow().tailLatency), bits(want));
+        }
+    }
 }
 
 TEST(Monitor, EvaluateTailDirectFeed)
