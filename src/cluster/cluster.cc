@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
+#include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -63,21 +64,11 @@ constexpr unsigned kVirtualNodesPerNode = 16;
  *  backlog signal exceeds this many milliseconds. */
 constexpr double kSpilloverBacklogMs = 8.0;
 
-/** One request sitting in a node's fluid FCFS queue, not yet started. */
-struct Pending
-{
-    double atMs = 0.0;     ///< arrival time at this node
-    double origMs = 0.0;   ///< original cluster arrival time
-    double demand = 0.0;   ///< unit-mean demand units
-    std::uint32_t classId = 0;
-    double startMs = 0.0;  ///< fluid-model service start estimate
-};
-
 /**
  * The ingress's fluid view of one node: backlog in milliseconds of work
- * draining at the measured aggregate capacity, plus the FIFO of not-yet-
- * started requests (the failover-able set). The backlog is lazily
- * drained at event times; `workMs` is the backlog at `lastMs`.
+ * draining at the measured aggregate capacity, plus every request
+ * steered to it in FCFS order. The backlog is lazily drained at event
+ * times; `workMs` is the backlog at `lastMs`.
  */
 struct NodeView
 {
@@ -87,8 +78,10 @@ struct NodeView
     double workMs = 0.0; ///< backlog (ms of queueing) at lastMs
     double lastMs = 0.0; ///< time of the last backlog update
     double signalMs = 0.0; ///< last *published* backlog (stale signal)
-    std::deque<Pending> pending;
-    std::vector<sim::InjectedArrival> out; ///< final steered stream
+    std::vector<sim::InjectedArrival> out; ///< steered stream
+    std::vector<double> startMs; ///< fluid service start of each record
+    std::vector<double> origMs;  ///< original cluster arrival of each
+    bool unsorted = false; ///< a record arrives before its predecessor
 };
 
 /** Backlog of @p nv at time @p t (>= nv.lastMs clamps to lazy drain;
@@ -117,41 +110,28 @@ drainTo(NodeView &nv, double t)
     }
 }
 
-/** Flush every fluid-started request to the node's final stream (its
- *  steering is now settled: started work cannot fail over). */
-void
-flushStarted(NodeView &nv, double t)
-{
-    while (!nv.pending.empty() && nv.pending.front().startMs <= t) {
-        const Pending &p = nv.pending.front();
-        nv.out.push_back({p.atMs, p.classId, p.demand, p.atMs - p.origMs});
-        nv.pending.pop_front();
-    }
-}
-
 /** Enqueue one request at node @p nv arriving there at @p at_ms. */
 void
 enqueue(NodeView &nv, double at_ms, double orig_ms, double demand,
         std::uint32_t cls)
 {
     drainTo(nv, at_ms);
-    Pending p;
-    p.atMs = at_ms;
-    p.origMs = orig_ms;
-    p.demand = demand;
-    p.classId = cls;
-    p.startMs = at_ms + nv.workMs;
+    if (!nv.out.empty() && at_ms < nv.out.back().atMs)
+        nv.unsorted = true;
+    nv.out.push_back({at_ms, cls, demand, at_ms - orig_ms});
+    nv.startMs.push_back(at_ms + nv.workMs);
+    nv.origMs.push_back(orig_ms);
     nv.workMs += demand / nv.capacity;
-    nv.pending.push_back(p);
 }
 
 /** One request as drawn, before steering: its raw gap, class tag and
- *  demand. */
+ *  demand. No initialisers: the drawing side writes every slot before
+ *  the steering side reads it. */
 struct Draw
 {
-    double gapMs = 0.0;
-    double demand = 0.0;
-    std::uint32_t classId = 0;
+    double gapMs;
+    double demand;
+    std::uint32_t classId;
 };
 
 /** Everything phase 1 produces: per-node steered streams + counters. */
@@ -448,18 +428,21 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
                 break;
             nv.alive = false;
             rebuildLive();
-            drainTo(nv, a.atMs);
-            flushStarted(nv, a.atMs); // started work drains in place
-            // Everything still queued re-steers to the least-loaded
+            // Started work drains in place: the longest prefix that
+            // started by now (no decision came later than now). Every
+            // later record re-steers, in order, to the least-loaded
             // live node, paying the failover delay end to end.
-            while (!nv.pending.empty()) {
-                Pending p = nv.pending.front();
-                nv.pending.pop_front();
+            std::size_t settled = 0;
+            while (settled < nv.out.size() && nv.startMs[settled] <= a.atMs)
+                ++settled;
+            for (std::size_t k = settled; k < nv.out.size(); ++k) {
+                const sim::InjectedArrival &p = nv.out[k];
                 const std::size_t dest = leastSignal(a.atMs);
                 enqueue(nodes[dest], a.atMs + kFailoverDelayMs,
-                        p.origMs, p.demand, p.classId);
+                        nv.origMs[k], p.demand, p.classId);
                 ++so.stats.failovers;
             }
+            nv.out.resize(settled);
             nv.workMs = 0.0;
             break;
         }
@@ -478,7 +461,7 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
     };
 
     // The drawn stream, published to the steering side in blocks.
-    std::vector<Draw> draws(cfg.requests);
+    const std::unique_ptr<Draw[]> draws(new Draw[cfg.requests]);
     std::mutex drawMutex;
     std::condition_variable drawReady;
     std::uint64_t drawn = 0; // guarded by drawMutex
@@ -541,7 +524,6 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
 
             const std::size_t target = steer(t, d.classId);
             enqueue(nodes[target], t, t, d.demand, d.classId);
-            flushStarted(nodes[target], t);
             ++so.stats.decisions;
         }
     };
@@ -555,27 +537,21 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             steerAll();
     });
 
-    // Stream over: everything still queued starts eventually, so the
-    // remaining pending entries settle where they sit.
+    // Stream over: everything still queued starts eventually, where it
+    // sits.
     so.injected.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
         NodeView &nv = nodes[j];
-        while (!nv.pending.empty()) {
-            const Pending &p = nv.pending.front();
-            nv.out.push_back(
-                {p.atMs, p.classId, p.demand, p.atMs - p.origMs});
-            nv.pending.pop_front();
-        }
-        // Failover inserts future-timestamped records behind direct
+        // Failover appends future-timestamped records behind direct
         // arrivals; the dispatcher requires time order. Only a node that
         // took failover records can be out of order, and a stable sort
         // of a sorted stream is the identity.
-        auto byTime = [](const sim::InjectedArrival &a,
-                         const sim::InjectedArrival &b) {
-            return a.atMs < b.atMs;
-        };
-        if (!std::is_sorted(nv.out.begin(), nv.out.end(), byTime))
-            std::stable_sort(nv.out.begin(), nv.out.end(), byTime);
+        if (nv.unsorted)
+            std::stable_sort(nv.out.begin(), nv.out.end(),
+                             [](const sim::InjectedArrival &a,
+                                const sim::InjectedArrival &b) {
+                                 return a.atMs < b.atMs;
+                             });
         so.stats.steered[j] = nv.out.size();
         so.injected[j] = std::move(nv.out);
     }
@@ -850,9 +826,18 @@ runCluster(const ClusterConfig &cfg)
         nodeCfgs.push_back(std::move(nc));
     }
 
+    // Longest stream first, so the largest node never starts last
+    // behind smaller ones (ties to the lowest index).
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return so.injected[a].size() >
+                                so.injected[b].size();
+                     });
     result.nodes.resize(n);
-    parallelFor(cfg.threads, n, [&](std::size_t j) {
-        result.nodes[j] = sim::runFleet(nodeCfgs[j]);
+    parallelFor(cfg.threads, n, [&](std::size_t k) {
+        result.nodes[order[k]] = sim::runFleet(nodeCfgs[order[k]]);
     });
 
     for (const sim::FleetResult &nr : result.nodes)
