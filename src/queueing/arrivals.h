@@ -17,6 +17,7 @@
 #ifndef STRETCH_QUEUEING_ARRIVALS_H
 #define STRETCH_QUEUEING_ARRIVALS_H
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <variant>
@@ -57,6 +58,13 @@ class PoissonArrivals
  * between a low-rate and a high-rate (burst) state with exponentially
  * distributed dwell times; the overall mean rate equals the requested
  * rate.
+ *
+ * Each step draws an exponential time to the next arrival and one to the
+ * next state switch, and the earlier one wins. The switch draw's uniform
+ * u is always consumed, but its log is taken only when the arrival might
+ * lose: -log u >= 1 - u, and glibc's log is within an ulp, so
+ * `to_arrival < dwell (1 - u) (1 - 2^-48)` already proves the arrival
+ * wins (the factor covers the log's and the product's roundings).
  */
 class MmppArrivals
 {
@@ -92,8 +100,13 @@ class MmppArrivals
     {
         double gap = 0.0;
         for (;;) {
-            double to_arrival = rng.exponential(meanGap[state]);
-            double to_switch = rng.exponential(dwell[state]);
+            const double to_arrival = rng.exponential(meanGap[state]);
+            const double u = rng.uniform();
+            if (to_arrival < dwell[state] * (1.0 - u) * kSwitchSlack)
+                return gap + to_arrival;
+            // Rng::exponential(dwell) from the same uniform.
+            const double to_switch =
+                -dwell[state] * std::log(u <= 0.0 ? 0x1.0p-53 : u);
             if (to_arrival <= to_switch)
                 return gap + to_arrival;
             gap += to_switch;
@@ -105,6 +118,9 @@ class MmppArrivals
     double stateRate(int s) const { return rate[s]; }
 
   private:
+    /** 1 - 2^-48: below dwell (1 - u) by more than the log's error. */
+    static constexpr double kSwitchSlack = 1.0 - 0x1.0p-48;
+
     double rate[2] = {1.0, 1.0};
     double meanGap[2] = {1.0, 1.0}; ///< 1/rate per state, hoisted
     double dwell[2];

@@ -57,6 +57,65 @@ TEST(Arrivals, MmppStateRates)
     EXPECT_NEAR(arr.stateRate(1) / arr.stateRate(0), 3.0, 1e-9);
 }
 
+/** The MMPP-2 gap as it was drawn before the switch draw learned to
+ *  skip its log: two exponentials per step, the earlier one wins.
+ *  Counts the state switches it takes. */
+double
+twoLogMmppGap(Rng &rng, const double meanGap[2], const double dwell[2],
+              int &state, std::uint64_t &switches)
+{
+    double gap = 0.0;
+    for (;;) {
+        const double toArrival = rng.exponential(meanGap[state]);
+        const double toSwitch = rng.exponential(dwell[state]);
+        if (toArrival <= toSwitch)
+            return gap + toArrival;
+        gap += toSwitch;
+        state ^= 1;
+        ++switches;
+    }
+}
+
+TEST(Arrivals, MmppSwitchSkipMatchesTwoLogLoop)
+{
+    auto bits = [](double d) {
+        std::uint64_t u;
+        std::memcpy(&u, &d, sizeof u);
+        return u;
+    };
+    const double meanRate = 2.0; // mean gap 0.5 ms
+    const double dwells[][2] = {{0.01, 0.01}, {1.0, 1.0}, {200.0, 40.0}};
+    for (double burst : {1.5, 2.5, 8.0}) {
+        for (const double *dwell : dwells) {
+            std::uint64_t switches = 0;
+            for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << "burst " << burst << ", dwell " << dwell[0]
+                             << "/" << dwell[1] << ", seed " << seed);
+                MmppArrivals arr(meanRate, burst, dwell[0], dwell[1]);
+                const double meanGap[2] = {1.0 / arr.stateRate(0),
+                                           1.0 / arr.stateRate(1)};
+                Rng rng(seed);
+                Rng ref(seed);
+                int state = 0;
+                for (int i = 0; i < 20000; ++i) {
+                    const double want =
+                        twoLogMmppGap(ref, meanGap, dwell, state, switches);
+                    ASSERT_EQ(bits(arr.next(rng)), bits(want)) << "gap " << i;
+                }
+                // Both consumed the same uniforms.
+                EXPECT_EQ(rng.next(), ref.next());
+            }
+            // A 0.01 ms dwell is far shorter than the mean gap, so
+            // switches dominate; 200/40 ms dwells rarely switch.
+            if (dwell[0] < 0.5)
+                EXPECT_GT(switches, 10u * 20000u);
+            else
+                EXPECT_GT(switches, 0u);
+        }
+    }
+}
+
 TEST(Arrivals, MmppBurstierThanPoisson)
 {
     // Squared coefficient of variation of interarrivals must exceed 1
