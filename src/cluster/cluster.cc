@@ -79,9 +79,13 @@ struct NodeView
     double lastMs = 0.0; ///< time of the last backlog update
     double signalMs = 0.0; ///< last *published* backlog (stale signal)
     std::vector<sim::InjectedArrival> out; ///< steered stream
+    bool unsorted = false; ///< a record arrives before its predecessor
+    /// @name Failover bookkeeping, kept only for a node that will fail.
+    /// @{
+    bool canFail = false;
     std::vector<double> startMs; ///< fluid service start of each record
     std::vector<double> origMs;  ///< original cluster arrival of each
-    bool unsorted = false; ///< a record arrives before its predecessor
+    /// @}
 };
 
 /** Backlog of @p nv at time @p t (>= nv.lastMs clamps to lazy drain;
@@ -119,8 +123,10 @@ enqueue(NodeView &nv, double at_ms, double orig_ms, double demand,
     if (!nv.out.empty() && at_ms < nv.out.back().atMs)
         nv.unsorted = true;
     nv.out.push_back({at_ms, cls, demand, at_ms - orig_ms});
-    nv.startMs.push_back(at_ms + nv.workMs);
-    nv.origMs.push_back(orig_ms);
+    if (nv.canFail) {
+        nv.startMs.push_back(at_ms + nv.workMs);
+        nv.origMs.push_back(orig_ms);
+    }
     nv.workMs += demand / nv.capacity;
 }
 
@@ -174,6 +180,9 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
                        "node ", j, " measured zero service capacity");
         totalCapacity += capacity[j];
     }
+    for (const NodeAction &a : cfg.actions)
+        if (a.kind == NodeAction::Kind::NodeFail)
+            nodes[a.node].canFail = true;
 
     so.ratePerMs = cfg.offeredRatePerMs(totalCapacity);
 
