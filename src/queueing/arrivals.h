@@ -17,7 +17,6 @@
 #ifndef STRETCH_QUEUEING_ARRIVALS_H
 #define STRETCH_QUEUEING_ARRIVALS_H
 
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <variant>
@@ -104,9 +103,7 @@ class MmppArrivals
             const double u = rng.uniform();
             if (to_arrival < dwell[state] * (1.0 - u) * kSwitchSlack)
                 return gap + to_arrival;
-            // Rng::exponential(dwell) from the same uniform.
-            const double to_switch =
-                -dwell[state] * std::log(u <= 0.0 ? 0x1.0p-53 : u);
+            const double to_switch = Rng::exponentialOf(u, dwell[state]);
             if (to_arrival <= to_switch)
                 return gap + to_arrival;
             gap += to_switch;

@@ -122,7 +122,13 @@ class Rng
     double
     exponential(double mean)
     {
-        double u = uniform();
+        return exponentialOf(uniform(), mean);
+    }
+
+    /** The exponential(mean) value that uniform draw @p u maps to. */
+    static double
+    exponentialOf(double u, double mean)
+    {
         // Guard the log against u == 0.
         if (u <= 0.0)
             u = 0x1.0p-53;
