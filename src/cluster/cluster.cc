@@ -437,10 +437,11 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
                 break;
             nv.alive = false;
             rebuildLive();
-            // Started work drains in place: the longest prefix that
-            // started by now (no decision came later than now). Every
-            // later record re-steers, in order, to the least-loaded
-            // live node, paying the failover delay end to end.
+            // Work that started by now drains in place: the longest
+            // prefix whose fluid start is at most now, since every
+            // decision so far came at or before now. Every later record
+            // re-steers, in order, to the least-loaded live node, paying
+            // the failover delay end to end.
             std::size_t settled = 0;
             while (settled < nv.out.size() && nv.startMs[settled] <= a.atMs)
                 ++settled;
