@@ -14,36 +14,6 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
-namespace
-{
-
-/** Where the type-7 percentile @p pct falls among @p n > 1 sorted
- *  values: @p frac of the way from order statistic lo to hi (lo or
- *  lo + 1). */
-struct Rank
-{
-    std::size_t lo;
-    std::size_t hi;
-    double frac;
-
-    Rank(std::size_t n, double pct)
-    {
-        const double rank = pct / 100.0 * static_cast<double>(n - 1);
-        lo = static_cast<std::size_t>(std::floor(rank));
-        hi = static_cast<std::size_t>(std::ceil(rank));
-        frac = rank - static_cast<double>(lo);
-    }
-
-    /** The percentile, given order statistics lo and hi. */
-    double
-    between(double below, double above) const
-    {
-        return below + (above - below) * frac;
-    }
-};
-
-} // namespace
-
 double
 percentileSorted(const std::vector<double> &sorted, double pct)
 {
@@ -53,27 +23,30 @@ percentileSorted(const std::vector<double> &sorted, double pct)
                    pct);
     if (sorted.size() == 1)
         return sorted.front();
-    const Rank r(sorted.size(), pct);
-    return r.between(sorted[r.lo], sorted[r.hi]);
+    double rank = pct / 100.0 * static_cast<double>(sorted.size() - 1);
+    auto lo = static_cast<std::size_t>(std::floor(rank));
+    auto hi = static_cast<std::size_t>(std::ceil(rank));
+    double frac = rank - static_cast<double>(lo);
+    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 double
 selectPercentile(std::vector<double> &values, double pct)
 {
-    if (values.empty())
-        return 0.0;
     STRETCH_ASSERT(pct >= 0.0 && pct <= 100.0, "percentile out of range: ",
                    pct);
-    if (values.size() == 1)
-        return values.front();
-    const Rank r(values.size(), pct);
-    const auto lo = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
-    std::nth_element(values.begin(), lo, values.end());
-    // Everything after lo is at least *lo; the smallest of it is order
-    // statistic lo + 1.
-    const double above =
-        r.hi == r.lo ? *lo : *std::min_element(lo + 1, values.end());
-    return r.between(*lo, above);
+    if (values.size() > 1) {
+        // percentileSorted reads only order statistics floor(rank) and
+        // ceil(rank): select the first, then the smallest value after it.
+        const double rank =
+            pct / 100.0 * static_cast<double>(values.size() - 1);
+        const auto lo =
+            values.begin() + static_cast<std::ptrdiff_t>(std::floor(rank));
+        std::nth_element(values.begin(), lo, values.end());
+        if (lo + 1 != values.end())
+            std::iter_swap(lo + 1, std::min_element(lo + 1, values.end()));
+    }
+    return percentileSorted(values, pct);
 }
 
 double
