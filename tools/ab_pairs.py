@@ -167,26 +167,31 @@ def report(labels, runs, a, better):
     hv = [r["metrics"][m] for r in head]
     print(f"ab_pairs: {a.workload}, seed {a.seed}, {a.seconds} s, "
           f"trace {a.trace}; base {labels['base']}, head {labels['head']}")
-    print(f"{'pair':>4}  {'first':5}  {'base ' + m:>18}  "
-          f"{'head ' + m:>18}  ratio")
+    w = len("head " + m)
+    print(f"{'pair':>4}  {'first':5}  {'base ' + m:>{w}}  "
+          f"{'head ' + m:>{w}}  ratio")
     for i, (b, h, q) in enumerate(zip(bv, hv, ratios(bv, hv)), 1):
         first = "base" if i % 2 else "head"
-        print(f"{i:>4}  {first:5}  {b:>18.6g}  {h:>18.6g}  {q:.3f}")
-    print(f"{'metric':32} {'better':6}  {'base median [q1, q3]':30}  "
-          f"{'head median [q1, q3]':30}  {'ratio':>6}  wins")
+        print(f"{i:>4}  {first:5}  {b:>{w}.6g}  {h:>{w}.6g}  {q:.3f}")
+
+    def cell(v):
+        return (f"{median(v):.6g} [{quantile(v, 0.25):.6g}, "
+                f"{quantile(v, 0.75):.6g}]")
+
+    rows = [("metric", "better", "base median [q1, q3]",
+             "head median [q1, q3]", "ratio", "wins")]
     for name in sorted(base[0]["metrics"]):
         if name not in better:
             continue
         b = [r["metrics"][name] for r in base]
         h = [r["metrics"][name] for r in head]
         won, _ = wins(b, h, better[name])
-
-        def cell(v):
-            return (f"{median(v):.6g} [{quantile(v, 0.25):.6g}, "
-                    f"{quantile(v, 0.75):.6g}]")
         ratio = median(h) / median(b) if median(b) else math.inf
-        print(f"{name:32} {better[name]:6}  {cell(b):30}  {cell(h):30}  "
-              f"{ratio:6.3f}  {won}/{len(b)}")
+        rows.append((name, better[name], cell(b), cell(h), f"{ratio:.3f}",
+                     f"{won}/{len(b)}"))
+    widths = [max(len(r[k]) for r in rows) for k in range(len(rows[0]))]
+    for r in rows:
+        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     print(f"failed ops: base {sum(r['failed'] for r in base)}, head "
           f"{sum(r['failed'] for r in head)} (over {len(base)} runs each)")
     v = verdict(bv, hv, better[m])
