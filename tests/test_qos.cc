@@ -276,8 +276,8 @@ TEST(Monitor, FilteredVerdictsMatchAtTheThreshold)
         for (int ulps = -4; ulps <= 4; ++ulps) {
             for (int i = 0; i < 63; ++i)
                 cpi.push_back(scale * rng.lognormal(0.0, 0.5));
-            double y = windowBefore(cpi, cpi.size()).mean() +
-                       2.0 * windowBefore(cpi, cpi.size()).stddev();
+            const stats::RunningStat rs = windowBefore(cpi, cpi.size());
+            double y = rs.mean() + 2.0 * rs.stddev();
             for (int step = 0; step < std::abs(ulps); ++step)
                 y = std::nextafter(y, ulps > 0 ? HUGE_VAL : -HUGE_VAL);
             cpi.push_back(y);
