@@ -41,7 +41,11 @@ class RunningStat
     /** Arithmetic mean (0 when empty). */
     double mean() const { return n ? meanAcc : 0.0; }
     /** Unbiased sample variance (0 for n < 2). */
-    double variance() const { return n > 1 ? m2 / static_cast<double>(n - 1) : 0.0; }
+    double
+    variance() const
+    {
+        return n > 1 ? m2 / static_cast<double>(n - 1) : 0.0;
+    }
     /** Sample standard deviation. */
     double stddev() const;
     /** Minimum observation (0 when empty). */

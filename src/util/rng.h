@@ -67,7 +67,10 @@ class Rng
     }
 
     /** Construct a named sub-stream, decorrelated from other streams. */
-    Rng(std::uint64_t seed, std::uint64_t stream) : Rng(mixSeed(seed, stream)) {}
+    Rng(std::uint64_t seed, std::uint64_t stream)
+        : Rng(mixSeed(seed, stream))
+    {
+    }
 
     /** Next raw 64-bit value. */
     std::uint64_t

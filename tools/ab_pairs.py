@@ -7,18 +7,18 @@ each one's perfbench once (its own ``CARGO_TARGET_DIR``), then runs
 i runs BASE first when i is odd and HEAD first when i is even, so a
 drift of the host over the session lands on both sides.
 
-It prints each pair's values of the claimed metric and their ratio,
-each side's median and quartiles of every metric the runs report, the
-pairs HEAD won, and a one-sided sign-test p-value. The verdict is GAIN
-when HEAD won at least 9 of every 10 pairs and its median beats BASE's
-by more than BASE's interquartile range; otherwise NO GAIN. Quartiles
-are type 7 (linear interpolation, as numpy's default). A metric's
-better direction comes from BENCHMARK.json.
+It prints each pair's ops_per_s and their ratio, each side's median
+and quartiles of every metric the runs report, the pairs HEAD won, and
+a one-sided sign-test p-value. The verdict, on ops_per_s, is GAIN when
+HEAD won at least 9 of every 10 pairs and its median beats BASE's by
+more than BASE's interquartile range; otherwise NO GAIN. Quartiles are
+type 7 (linear interpolation, as numpy's default). A metric's better
+direction comes from BENCHMARK.json. Each run lasts run.py's default
+length.
 
 Usage:
     tools/ab_pairs.py BASE HEAD --workload W --pairs N [--seed S]
-        [--seconds 20] [--trace 0|1] [--metric ops_per_s]
-        [--workdir DIR] [--json OUT]
+        [--trace 0|1] [--workdir DIR]
 
 Exits 0 after printing the report (whatever the verdict), 1 when a
 build or run fails.
@@ -37,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_WIN_SHARE = 0.9
+METRIC = "ops_per_s"  # the metric the verdict judges
 
 
 def quantile(values, q):
@@ -149,7 +150,7 @@ def build(src, target):
 def run_once(src, target, a):
     cmd = [sys.executable, str(src / "perfbench" / "run.py"),
            "--workload", a.workload, "--seed", str(a.seed),
-           "--seconds", str(a.seconds), "--trace", str(a.trace)]
+           "--trace", str(a.trace)]
     r = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                        env=side_env(target))
     lines = r.stdout.strip().splitlines()
@@ -162,11 +163,11 @@ def run_once(src, target, a):
 
 def report(labels, runs, a, better):
     base, head = runs["base"], runs["head"]
-    m = a.metric
+    m = METRIC
     bv = [r["metrics"][m] for r in base]
     hv = [r["metrics"][m] for r in head]
-    print(f"ab_pairs: {a.workload}, seed {a.seed}, {a.seconds} s, "
-          f"trace {a.trace}; base {labels['base']}, head {labels['head']}")
+    print(f"ab_pairs: {a.workload}, seed {a.seed}, trace {a.trace}; "
+          f"base {labels['base']}, head {labels['head']}")
     w = len("head " + m)
     print(f"{'pair':>4}  {'first':5}  {'base ' + m:>{w}}  "
           f"{'head ' + m:>{w}}  ratio")
@@ -199,7 +200,6 @@ def report(labels, runs, a, better):
           f"({v['tied']} tied), sign test p = {v['p_one_sided']:.4g} "
           f"(one-sided); median gap {v['median_gap']:.6g} vs base IQR "
           f"{v['base_iqr']:.6g} -> {'GAIN' if v['gain'] else 'NO GAIN'}")
-    return v
 
 
 def main():
@@ -209,18 +209,13 @@ def main():
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--metric", default="ops_per_s")
     p.add_argument("--workdir", type=Path,
                    help="exports and builds (default: a new temp dir)")
-    p.add_argument("--json", type=Path, help="also write every run here")
     a = p.parse_args()
     if a.pairs < 1:
         p.error("--pairs must be >= 1")
     better = directions()
-    if a.metric not in better:
-        p.error(f"--metric {a.metric!r} is not in BENCHMARK.json")
 
     work = a.workdir or Path(tempfile.mkdtemp(prefix="ab_pairs-"))
     labels = {"base": resolve(a.base), "head": resolve(a.head)}
@@ -239,14 +234,7 @@ def main():
         for side in order:
             log(f"ab_pairs: pair {i}/{a.pairs}: {side}")
             runs[side].append(run_once(*dirs[side], a))
-    if a.metric not in runs["base"][0]["metrics"]:
-        sys.exit(f"ab_pairs: the runs report no {a.metric!r}")
-    v = report(labels, runs, a, better)
-    if a.json:
-        a.json.write_text(json.dumps({"labels": labels, "args": {
-            "workload": a.workload, "seed": a.seed, "seconds": a.seconds,
-            "trace": a.trace, "metric": a.metric}, "runs": runs,
-            "verdict": v}, indent=1))
+    report(labels, runs, a, better)
 
 
 if __name__ == "__main__":
