@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -836,18 +835,9 @@ runCluster(const ClusterConfig &cfg)
         nodeCfgs.push_back(std::move(nc));
     }
 
-    // Longest stream first, so the largest node never starts last
-    // behind smaller ones (ties to the lowest index).
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return so.injected[a].size() >
-                                so.injected[b].size();
-                     });
     result.nodes.resize(n);
-    parallelFor(cfg.threads, n, [&](std::size_t k) {
-        result.nodes[order[k]] = sim::runFleet(nodeCfgs[order[k]]);
+    parallelFor(cfg.threads, n, [&](std::size_t j) {
+        result.nodes[j] = sim::runFleet(nodeCfgs[j]);
     });
 
     for (const sim::FleetResult &nr : result.nodes)
