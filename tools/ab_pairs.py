@@ -14,7 +14,8 @@ HEAD won at least 9 of every 10 pairs and its median beats BASE's by
 more than BASE's interquartile range; otherwise NO GAIN. Quartiles are
 type 7 (linear interpolation, as numpy's default). A metric's better
 direction comes from BENCHMARK.json. Each run lasts run.py's default
-length.
+length. A traced run (--trace 1) reports per-layer metrics only, so
+traced pairs print the metric table without a verdict.
 
 Usage:
     tools/ab_pairs.py BASE HEAD --workload W --pairs N [--seed S]
@@ -164,16 +165,18 @@ def run_once(src, target, a):
 def report(labels, runs, a, better):
     base, head = runs["base"], runs["head"]
     m = METRIC
-    bv = [r["metrics"][m] for r in base]
-    hv = [r["metrics"][m] for r in head]
+    judged = m in base[0]["metrics"]
     print(f"ab_pairs: {a.workload}, seed {a.seed}, trace {a.trace}; "
           f"base {labels['base']}, head {labels['head']}")
-    w = len("head " + m)
-    print(f"{'pair':>4}  {'first':5}  {'base ' + m:>{w}}  "
-          f"{'head ' + m:>{w}}  ratio")
-    for i, (b, h, q) in enumerate(zip(bv, hv, ratios(bv, hv)), 1):
-        first = "base" if i % 2 else "head"
-        print(f"{i:>4}  {first:5}  {b:>{w}.6g}  {h:>{w}.6g}  {q:.3f}")
+    if judged:
+        bv = [r["metrics"][m] for r in base]
+        hv = [r["metrics"][m] for r in head]
+        w = len("head " + m)
+        print(f"{'pair':>4}  {'first':5}  {'base ' + m:>{w}}  "
+              f"{'head ' + m:>{w}}  ratio")
+        for i, (b, h, q) in enumerate(zip(bv, hv, ratios(bv, hv)), 1):
+            first = "base" if i % 2 else "head"
+            print(f"{i:>4}  {first:5}  {b:>{w}.6g}  {h:>{w}.6g}  {q:.3f}")
 
     def cell(v):
         return (f"{median(v):.6g} [{quantile(v, 0.25):.6g}, "
@@ -195,6 +198,9 @@ def report(labels, runs, a, better):
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     print(f"failed ops: base {sum(r['failed'] for r in base)}, head "
           f"{sum(r['failed'] for r in head)} (over {len(base)} runs each)")
+    if not judged:
+        print(f"no verdict: traced runs report no {m}")
+        return
     v = verdict(bv, hv, better[m])
     print(f"verdict on {m}: head won {v['won']}/{v['pairs']} pairs "
           f"({v['tied']} tied), sign test p = {v['p_one_sided']:.4g} "

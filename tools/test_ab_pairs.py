@@ -3,14 +3,17 @@
 functions only, no git, build or benchmark run. Run directly or via
 ctest (registered as a tier1 test)."""
 
+import contextlib
+import io
 import math
 import sys
 import unittest
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from ab_pairs import (directions, iqr, median, quantile, ratios,
+from ab_pairs import (directions, iqr, median, quantile, ratios, report,
                       sign_test_p, verdict, wins)
 
 
@@ -97,6 +100,29 @@ class Directions(unittest.TestCase):
         self.assertEqual(d["ops_per_s"], "higher")
         self.assertEqual(d["op_ms_p90"], "lower")
         self.assertEqual(d["fleet.ns_per_request"], "lower")
+
+
+class Reports(unittest.TestCase):
+    labels = {"base": "b0", "head": "h0"}
+
+    def render(self, trace, metrics):
+        runs = {side: [{"failed": 0, "metrics": dict(metrics)}] * 2
+                for side in ("base", "head")}
+        a = SimpleNamespace(workload="rack-ingress", seed=42, trace=trace)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            report(self.labels, runs, a, directions())
+        return out.getvalue()
+
+    def test_untraced_pairs_get_a_verdict(self):
+        text = self.render(0, {"ops_per_s": 20.0, "op_ms_p90": 70.0})
+        self.assertIn("verdict on ops_per_s", text)
+
+    def test_traced_pairs_print_their_table_without_a_verdict(self):
+        # A traced run reports per-layer metrics only: no ops_per_s.
+        text = self.render(1, {"process.peak_rss_mb": 70.0})
+        self.assertIn("process.peak_rss_mb", text)
+        self.assertIn("no verdict", text)
 
 
 if __name__ == "__main__":
